@@ -243,8 +243,8 @@ int main(int argc, char** argv) {
   for (const auto& ev : events) names.insert(ev.name);
   for (const char* required :
        {"queue_wait", "batch_flush", "route_batch", "shard_lookup", "ecall",
-        "cold_forward", "cold_layer_compute", "layer_compute", "halo_send",
-        "promotion", "unseal", "adopt"}) {
+        "cold_forward", "layer_compute", "halo_send", "promotion", "unseal",
+        "adopt"}) {
     GV_CHECK(names.count(required) == 1,
              std::string("trace is missing required span: ") + required);
   }

@@ -32,46 +32,6 @@ Matrix slice_cols(const Matrix& m, std::size_t begin, std::size_t end) {
 }
 }  // namespace
 
-/// Sorted union of `rows` and every adjacency column reachable from them
-/// (the one-hop closure; Â carries self-loops, but the union keeps isolated
-/// nodes in the frontier too). Uses the epoch-stamped scratch buffer so no
-/// O(n) clear is paid per call.
-std::vector<std::uint32_t> Rectifier::expand_frontier(
-    const std::vector<std::uint32_t>& rows) {
-  const CsrMatrix& adj = *adj_;
-  if (frontier_mark_.size() < adj.cols()) frontier_mark_.assign(adj.cols(), 0);
-  if (++frontier_epoch_ == 0) {  // epoch wrapped: stale stamps could collide
-    std::fill(frontier_mark_.begin(), frontier_mark_.end(), 0u);
-    frontier_epoch_ = 1;
-  }
-  const std::uint32_t epoch = frontier_epoch_;
-  std::vector<std::uint32_t> out;
-  out.reserve(rows.size() * 4);
-  auto add = [&](std::uint32_t v) {
-    if (frontier_mark_[v] != epoch) {
-      frontier_mark_[v] = epoch;
-      out.push_back(v);
-    }
-  };
-  const auto& row_ptr = adj.row_ptr();
-  const auto& col_idx = adj.col_idx();
-  for (const std::uint32_t r : rows) {
-    add(r);
-    for (std::int64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) add(col_idx[i]);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// The |rows| x |cols| view of the adjacency with global indices remapped to
-/// local frontier positions. `cols` must contain every column reachable from
-/// `rows` (guaranteed by expand_frontier); both must be sorted. The local
-/// index scratch needs no clearing: every entry read is written first.
-CsrMatrix Rectifier::gather_sub_adjacency(const std::vector<std::uint32_t>& rows,
-                                          const std::vector<std::uint32_t>& cols) {
-  return frontier_slice(rows, cols);
-}
-
 std::vector<std::uint32_t> Rectifier::frontier_columns(
     std::span<const std::uint32_t> rows) {
   const CsrMatrix& adj = *adj_;
@@ -95,7 +55,16 @@ std::vector<std::uint32_t> Rectifier::frontier_columns(
       }
     }
   }
-  std::sort(out.begin(), out.end());
+  if (out.size() * 16 < adj.cols()) {
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  // A dense frontier (a refresh reads every column) is collected faster by
+  // one pass over the marks, already in column order, than by sorting.
+  out.clear();
+  for (std::uint32_t c = 0; c < adj.cols(); ++c) {
+    if (frontier_mark_[c] == epoch) out.push_back(c);
+  }
   return out;
 }
 
@@ -125,84 +94,80 @@ Rectifier::Rectifier(RectifierConfig cfg, std::vector<std::size_t> backbone_dims
   GV_CHECK(!cfg_.channels.empty(), "rectifier needs at least one layer");
   GV_CHECK(!backbone_dims_.empty(), "backbone must have at least one layer");
   GV_CHECK(adj_ != nullptr, "rectifier requires the real adjacency");
-  if (cfg_.kind == RectifierKind::kParallel) {
-    GV_CHECK(cfg_.channels.size() <= backbone_dims_.size(),
-             "parallel rectifier cannot be deeper than the backbone");
+  const std::size_t B = backbone_dims_.size();
+  const std::size_t R = cfg_.channels.size();
+  inputs_.resize(R);
+  for (std::size_t k = 1; k < R; ++k) inputs_[k].prev = true;
+  switch (cfg_.kind) {
+    case RectifierKind::kParallel:
+      // Rectify right after each message passing: layer k reads backbone
+      // layer k's embedding.
+      GV_CHECK(R <= B, "parallel rectifier cannot be deeper than the backbone");
+      for (std::size_t k = 0; k < R; ++k) inputs_[k].backbone = {k};
+      break;
+    case RectifierKind::kCascaded:
+      // Global view: the first layer reads every backbone layer's output.
+      inputs_[0].backbone.resize(B);
+      std::iota(inputs_[0].backbone.begin(), inputs_[0].backbone.end(),
+                std::size_t{0});
+      break;
+    case RectifierKind::kSeries:
+      // Only the penultimate embedding (before the classification head).
+      inputs_[0].backbone = {B >= 2 ? B - 2 : 0};
+      break;
   }
-  layers_.reserve(cfg_.channels.size());
-  for (std::size_t k = 0; k < cfg_.channels.size(); ++k) {
+  layers_.reserve(R);
+  for (std::size_t k = 0; k < R; ++k) {
     layers_.emplace_back(layer_input_dim(k), cfg_.channels[k], rng);
   }
 }
 
+const Rectifier::LayerInputs& Rectifier::inputs(std::size_t k) const {
+  GV_CHECK(k < inputs_.size(), "layer index out of range");
+  return inputs_[k];
+}
+
 std::size_t Rectifier::layer_input_dim(std::size_t k) const {
-  GV_CHECK(k < cfg_.channels.size(), "layer index out of range");
-  switch (cfg_.kind) {
-    case RectifierKind::kParallel:
-      // Layer k reads backbone layer k's embedding, plus (for k >= 1) the
-      // previous rectifier output.
-      return k == 0 ? backbone_dims_[0] : backbone_dims_[k] + cfg_.channels[k - 1];
-    case RectifierKind::kCascaded:
-      return k == 0 ? std::accumulate(backbone_dims_.begin(), backbone_dims_.end(),
-                                      std::size_t{0})
-                    : cfg_.channels[k - 1];
-    case RectifierKind::kSeries: {
-      const std::size_t penult =
-          backbone_dims_.size() >= 2 ? backbone_dims_[backbone_dims_.size() - 2]
-                                     : backbone_dims_.back();
-      return k == 0 ? penult : cfg_.channels[k - 1];
-    }
-  }
-  throw Error("unknown rectifier kind");
+  const LayerInputs& in = inputs(k);
+  std::size_t dim = in.prev ? cfg_.channels[k - 1] : 0;
+  for (const std::size_t i : in.backbone) dim += backbone_dims_[i];
+  return dim;
 }
 
 std::vector<std::size_t> Rectifier::required_backbone_layers() const {
   std::vector<std::size_t> req;
-  switch (cfg_.kind) {
-    case RectifierKind::kParallel:
-      for (std::size_t k = 0; k < cfg_.channels.size(); ++k) req.push_back(k);
-      break;
-    case RectifierKind::kCascaded:
-      for (std::size_t k = 0; k < backbone_dims_.size(); ++k) req.push_back(k);
-      break;
-    case RectifierKind::kSeries:
-      req.push_back(backbone_dims_.size() >= 2 ? backbone_dims_.size() - 2 : 0);
-      break;
+  for (const auto& in : inputs_) {
+    req.insert(req.end(), in.backbone.begin(), in.backbone.end());
   }
+  std::sort(req.begin(), req.end());
+  req.erase(std::unique(req.begin(), req.end()), req.end());
   return req;
+}
+
+Matrix Rectifier::layer_input(
+    std::size_t k, const std::function<const Matrix&(std::size_t)>& backbone_rows_of,
+    Matrix prev) const {
+  const LayerInputs& in = inputs(k);
+  std::vector<const Matrix*> blocks;
+  blocks.reserve(in.backbone.size() + 1);
+  for (const std::size_t i : in.backbone) {
+    const Matrix& rows = backbone_rows_of(i);
+    GV_CHECK(!rows.empty(), "required backbone output is empty");
+    GV_CHECK(rows.cols() == backbone_dims_[i], "backbone output dim mismatch");
+    blocks.push_back(&rows);
+  }
+  if (in.prev) {
+    if (blocks.empty()) return prev;
+    blocks.push_back(&prev);
+  }
+  if (blocks.size() == 1) return *blocks[0];
+  return Matrix::hconcat(std::span<const Matrix* const>(blocks.data(), blocks.size()));
 }
 
 std::size_t Rectifier::parameter_count() const {
   std::size_t n = 0;
   for (const auto& l : layers_) n += l.parameter_count();
   return n;
-}
-
-Matrix Rectifier::build_layer_input(std::size_t k,
-                                    const std::vector<Matrix>& backbone_outputs,
-                                    const Matrix& prev) const {
-  auto bb = [&](std::size_t i) -> const Matrix& {
-    GV_CHECK(i < backbone_outputs.size(), "missing backbone output");
-    GV_CHECK(!backbone_outputs[i].empty(), "required backbone output is empty");
-    GV_CHECK(backbone_outputs[i].cols() == backbone_dims_[i],
-             "backbone output dim mismatch");
-    return backbone_outputs[i];
-  };
-  switch (cfg_.kind) {
-    case RectifierKind::kParallel:
-      return k == 0 ? bb(0) : Matrix::hconcat(bb(k), prev);
-    case RectifierKind::kCascaded: {
-      if (k > 0) return prev;
-      std::vector<const Matrix*> blocks;
-      blocks.reserve(backbone_dims_.size());
-      for (std::size_t i = 0; i < backbone_dims_.size(); ++i) blocks.push_back(&bb(i));
-      return Matrix::hconcat(std::span<const Matrix* const>(blocks.data(), blocks.size()));
-    }
-    case RectifierKind::kSeries:
-      return k == 0 ? bb(backbone_dims_.size() >= 2 ? backbone_dims_.size() - 2 : 0)
-                    : prev;
-  }
-  throw Error("unknown rectifier kind");
 }
 
 Matrix Rectifier::forward(const std::vector<Matrix>& backbone_outputs, bool training) {
@@ -212,10 +177,14 @@ Matrix Rectifier::forward(const std::vector<Matrix>& backbone_outputs, bool trai
   trained_forward_ = training;
   cached_backbone_outputs_ = &backbone_outputs;
 
+  auto bb = [&](std::size_t i) -> const Matrix& {
+    GV_CHECK(i < backbone_outputs.size(), "missing backbone output");
+    return backbone_outputs[i];
+  };
   Matrix h;
   for (std::size_t k = 0; k < layers_.size(); ++k) {
     const bool last = (k + 1 == layers_.size());
-    const Matrix input = build_layer_input(k, backbone_outputs, h);
+    const Matrix input = layer_input(k, bb, std::move(h));
     Matrix z = layers_[k].forward(*adj_, input, training);
     if (training) pre_activations_.push_back(z);
     if (!last) {
@@ -238,72 +207,40 @@ Matrix Rectifier::forward_subset(const std::vector<Matrix>& backbone_outputs,
   if (layer_rows) layer_rows->clear();
   if (nodes.empty()) return Matrix();
   for (const auto v : nodes) GV_CHECK(v < n, "query node out of range");
-  auto bb = [&](std::size_t i) -> const Matrix& {
-    GV_CHECK(i < backbone_outputs.size(), "missing backbone output");
-    GV_CHECK(!backbone_outputs[i].empty(), "required backbone output is empty");
-    GV_CHECK(backbone_outputs[i].cols() == backbone_dims_[i],
-             "backbone output dim mismatch");
-    GV_CHECK(backbone_outputs[i].rows() == n,
-             "backbone output covers a different node count");
-    return backbone_outputs[i];
-  };
 
-  // Frontier sets, last layer first: the output rows of layer k are the
-  // input rows of layer k+1, and each layer's input frontier is the one-hop
-  // closure of its output frontier (an L-layer GCN reads the L-hop
-  // neighbourhood of the query set).
+  // Frontier sets, last layer first: layer k reads exactly the columns its
+  // output rows touch, and those are the output rows of layer k-1 (an
+  // L-layer GCN reads the L-hop neighbourhood of the query set).
   const std::size_t L = layers_.size();
-  std::vector<std::vector<std::uint32_t>> out_sets(L), in_sets(L);
-  out_sets[L - 1].assign(nodes.begin(), nodes.end());
-  std::sort(out_sets[L - 1].begin(), out_sets[L - 1].end());
-  out_sets[L - 1].erase(
-      std::unique(out_sets[L - 1].begin(), out_sets[L - 1].end()),
-      out_sets[L - 1].end());
+  std::vector<std::vector<std::uint32_t>> rows(L), cols(L);
+  rows[L - 1].assign(nodes.begin(), nodes.end());
+  std::sort(rows[L - 1].begin(), rows[L - 1].end());
+  rows[L - 1].erase(std::unique(rows[L - 1].begin(), rows[L - 1].end()),
+                    rows[L - 1].end());
   for (std::size_t k = L; k-- > 0;) {
-    in_sets[k] = expand_frontier(out_sets[k]);
-    if (k > 0) out_sets[k - 1] = in_sets[k];
+    cols[k] = frontier_columns(rows[k]);
+    if (k > 0) rows[k - 1] = cols[k];
   }
 
   Matrix h;
+  std::vector<Matrix> staged(backbone_dims_.size());
   for (std::size_t k = 0; k < L; ++k) {
     const bool last = (k + 1 == L);
-    Matrix input;
-    switch (cfg_.kind) {
-      case RectifierKind::kParallel:
-        input = k == 0 ? bb(0).gather_rows(in_sets[0])
-                       : Matrix::hconcat(bb(k).gather_rows(in_sets[k]), h);
-        break;
-      case RectifierKind::kCascaded:
-        if (k == 0) {
-          std::vector<Matrix> gathered;
-          gathered.reserve(backbone_dims_.size());
-          for (std::size_t i = 0; i < backbone_dims_.size(); ++i) {
-            gathered.push_back(bb(i).gather_rows(in_sets[0]));
-          }
-          std::vector<const Matrix*> blocks;
-          blocks.reserve(gathered.size());
-          for (const auto& g : gathered) blocks.push_back(&g);
-          input = Matrix::hconcat(
-              std::span<const Matrix* const>(blocks.data(), blocks.size()));
-        } else {
-          input = std::move(h);
-        }
-        break;
-      case RectifierKind::kSeries:
-        input = k == 0 ? bb(backbone_dims_.size() >= 2 ? backbone_dims_.size() - 2
-                                                       : 0)
-                             .gather_rows(in_sets[0])
-                       : std::move(h);
-        break;
+    for (const std::size_t i : inputs(k).backbone) {
+      GV_CHECK(i < backbone_outputs.size(), "missing backbone output");
+      GV_CHECK(backbone_outputs[i].rows() == n,
+               "backbone output covers a different node count");
+      staged[i] = backbone_outputs[i].gather_rows(cols[k]);
     }
-    const CsrMatrix sub_adj = gather_sub_adjacency(out_sets[k], in_sets[k]);
-    Matrix z = layers_[k].forward_subgraph(sub_adj, input);
+    const Matrix input = layer_input(
+        k, [&](std::size_t i) -> const Matrix& { return staged[i]; }, std::move(h));
+    Matrix z = layers_[k].forward_subgraph(frontier_slice(rows[k], cols[k]), input);
     h = last ? std::move(z) : relu(z);
-    if (layer_rows) layer_rows->push_back(out_sets[k].size());
+    if (layer_rows) layer_rows->push_back(rows[k].size());
   }
 
   // h rows follow the sorted unique query set; map back to query order.
-  const auto& sorted = out_sets[L - 1];
+  const auto& sorted = rows[L - 1];
   std::vector<std::uint32_t> positions;
   positions.reserve(nodes.size());
   for (const auto v : nodes) {
@@ -324,16 +261,11 @@ void Rectifier::backward(const Matrix& dlogits) {
     }
     Matrix dinput = layers_[k].backward(*adj_, d);
     if (k == 0) break;  // gradient w.r.t. backbone embeddings is discarded
-    switch (cfg_.kind) {
-      case RectifierKind::kParallel:
-        // Input was [backbone_k | prev]; keep only the prev part.
-        d = slice_cols(dinput, backbone_dims_[k], dinput.cols());
-        break;
-      case RectifierKind::kCascaded:
-      case RectifierKind::kSeries:
-        d = std::move(dinput);
-        break;
-    }
+    // The input was [backbone blocks | prev]; keep only the prev part.
+    GV_CHECK(inputs_[k].prev, "rectifier layer without a previous-layer input");
+    const std::size_t prev_begin = layer_input_dim(k) - cfg_.channels[k - 1];
+    d = prev_begin == 0 ? std::move(dinput)
+                        : slice_cols(dinput, prev_begin, dinput.cols());
   }
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,10 +51,29 @@ class Rectifier {
   std::size_t num_layers() const { return layers_.size(); }
   std::size_t parameter_count() const;
 
+  /// What rectifier layer k reads, in concatenation order: the embeddings
+  /// of these backbone layers, then (when `prev`) the previous rectifier
+  /// output.  Built once per scheme by the constructor:
+  ///   parallel -> layer k reads {k} (+ prev for k >= 1);
+  ///   cascaded -> layer 0 reads {0 .. B-1}, later layers prev only;
+  ///   series   -> layer 0 reads {B-2}, later layers prev only.
+  struct LayerInputs {
+    std::vector<std::size_t> backbone;
+    bool prev = false;
+  };
+  const LayerInputs& inputs(std::size_t k) const;
+
   /// Indices of the backbone layers whose embeddings must cross into the
-  /// enclave (drives the Fig. 6 transfer-cost accounting):
-  ///   parallel -> {0 .. R-1}; cascaded -> all; series -> {B-2}.
+  /// enclave (drives the Fig. 6 transfer-cost accounting): the sorted union
+  /// of every layer's `inputs(k).backbone`.
   std::vector<std::size_t> required_backbone_layers() const;
+
+  /// Layer k's input rows: `backbone_rows_of(i)` for every i in
+  /// inputs(k).backbone, then `prev` when inputs(k).prev, concatenated
+  /// column-wise.  All blocks must cover the same rows in the same order.
+  Matrix layer_input(std::size_t k,
+                     const std::function<const Matrix&(std::size_t)>& backbone_rows_of,
+                     Matrix prev) const;
 
   /// Forward pass. `backbone_outputs` must contain the embeddings of the
   /// required backbone layers at their original indices (others may be
@@ -62,7 +82,9 @@ class Rectifier {
 
   /// Node-subset inference (the serving path): computes logits ONLY for
   /// `nodes`, restricting every layer to the multi-hop frontier of the query
-  /// set instead of running over all n nodes. Returns logits in query order
+  /// set instead of running over all n nodes — the same per-layer step
+  /// (frontier_columns -> frontier_slice -> layer_input -> forward_subgraph)
+  /// the sharded deployment runs per shard. Returns logits in query order
   /// (duplicates allowed). Inference-only; the training cache is untouched.
   /// `layer_rows`, when non-null, receives the number of frontier rows
   /// computed at each layer (enclave activation-memory accounting).
@@ -90,18 +112,15 @@ class Rectifier {
   const CsrMatrix& adjacency() const { return *adj_; }
   void set_adjacency(std::shared_ptr<const CsrMatrix> adjacency);
 
-  // --- Cross-boundary frontier restriction (ShardVault cold path). --------
+  // --- Frontier restriction (subset inference and the sharded forward). ---
   // A shard's rectifier holds the RECTANGULAR owned x closure slice of the
   // global adjacency, so its row and column index spaces differ; these two
-  // helpers let the sharded deployment walk a query's L-hop frontier one
-  // shard-local hop at a time, stopping at the shard boundary (columns owned
-  // by a peer become halo pulls over the attested channel, not local rows).
+  // helpers walk a query's L-hop frontier one hop at a time (in a shard,
+  // columns owned by a peer become halo pulls over the attested channel).
 
   /// Sorted unique column indices with a nonzero in any of `rows`: the
-  /// one-hop input frontier of an output row set.  Unlike the square-only
-  /// subset path, row indices are NOT injected into the result — for a
-  /// rectangular shard adjacency they live in a different index space (each
-  /// owned row still reaches its own closure column via its self-loop).
+  /// one-hop input frontier of an output row set — exactly the input rows
+  /// the layer reads (Â's self-loops put each row's own column in it).
   std::vector<std::uint32_t> frontier_columns(std::span<const std::uint32_t> rows);
 
   /// The |rows| x |cols| slice of the adjacency with column ids remapped to
@@ -114,15 +133,9 @@ class Rectifier {
   std::size_t layer_input_dim(std::size_t k) const;
 
  private:
-  Matrix build_layer_input(std::size_t k,
-                           const std::vector<Matrix>& backbone_outputs,
-                           const Matrix& prev) const;
-  std::vector<std::uint32_t> expand_frontier(const std::vector<std::uint32_t>& rows);
-  CsrMatrix gather_sub_adjacency(const std::vector<std::uint32_t>& rows,
-                                 const std::vector<std::uint32_t>& cols);
-
   RectifierConfig cfg_;
   std::vector<std::size_t> backbone_dims_;
+  std::vector<LayerInputs> inputs_;  // [layer]; the only per-scheme wiring
   std::shared_ptr<const CsrMatrix> adj_;
   std::vector<GcnLayer> layers_;
   Rng dropout_rng_;

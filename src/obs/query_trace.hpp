@@ -1,7 +1,7 @@
 // QueryLens per-query causal tracing: a 64-bit query id allocated at
 // MicroBatchQueue enqueue and carried through batch flush -> ShardRouter ->
 // per-shard ecalls -> attested-channel halo-pull request trailers (so a
-// peer's cold_halo_serve work is attributed to the originating query) ->
+// peer's halo_serve work is attributed to the originating query) ->
 // cold recursion.
 //
 // Propagation is a thread-local "current query" slot managed by the RAII

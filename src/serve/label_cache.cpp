@@ -37,10 +37,11 @@ std::optional<std::uint32_t> LabelCache::get(std::uint32_t node,
 }
 
 void LabelCache::put(std::uint32_t node, const Sha256Digest& digest,
-                     std::uint32_t label) {
+                     std::uint32_t label, std::uint64_t generation) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   GV_RANK_SCOPE(lockrank::kQueue);
+  if (generation != generation_) return;  // computed before the last clear()
   const auto it = index_.find(node);
   if (it != index_.end()) {
     it->second->digest = digest;
@@ -54,25 +55,6 @@ void LabelCache::put(std::uint32_t node, const Sha256Digest& digest,
   }
   lru_.push_front({node, digest, label});
   index_[node] = lru_.begin();
-}
-
-std::size_t LabelCache::invalidate_stale(const CsrMatrix& features) {
-  if (capacity_ == 0) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
-  std::size_t evicted = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const bool gone = it->node >= features.rows() ||
-                      feature_row_digest(features, it->node) != it->digest;
-    if (gone) {
-      index_.erase(it->node);
-      it = lru_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
 }
 
 std::size_t LabelCache::invalidate_nodes(std::span<const std::uint32_t> nodes) {
@@ -95,6 +77,13 @@ void LabelCache::clear() {
   GV_RANK_SCOPE(lockrank::kQueue);
   lru_.clear();
   index_.clear();
+  ++generation_;
+}
+
+std::uint64_t LabelCache::generation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  GV_RANK_SCOPE(lockrank::kQueue);
+  return generation_;
 }
 
 std::size_t LabelCache::size() const {

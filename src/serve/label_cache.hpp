@@ -3,8 +3,11 @@
 // A GNN label depends on the node's (private) multi-hop neighbourhood, not
 // just its own feature row, so the node id must be part of the key.  Each
 // entry additionally stores a SHA-256 digest of the node's feature row: a
-// lookup whose digest no longer matches is treated as a miss and evicted,
-// so cached labels can never survive a feature update.  Thread-safe — the
+// lookup whose digest no longer matches is treated as a miss and evicted.
+// The digest cannot see a NEIGHBOUR's row change, and the untrusted front
+// end cannot know the private neighbourhood, so a feature update clear()s
+// the whole cache; the generation counter keeps a batch that was computed
+// before the clear from filing its labels after it.  Thread-safe — the
 // server's worker threads fill it while request threads probe it.
 #pragma once
 
@@ -39,15 +42,10 @@ class LabelCache {
   std::optional<std::uint32_t> get(std::uint32_t node, const Sha256Digest& digest);
 
   /// Insert/refresh an entry, evicting the least recently used if full.
-  void put(std::uint32_t node, const Sha256Digest& digest, std::uint32_t label);
-
-  /// Feature-update sweep: evict every entry whose stored digest no longer
-  /// matches its node's row in `features`.  Entries for untouched rows stay
-  /// resident — the deliberate locality approximation of the digest scheme
-  /// (a label also depends on the multi-hop neighbourhood's features; a
-  /// caller that changed many rows and wants strict freshness should
-  /// clear() instead).  Returns the number of evicted entries.
-  std::size_t invalidate_stale(const CsrMatrix& features);
+  /// `generation` is generation() as read before the label was computed;
+  /// the entry is dropped when a clear() has landed since.
+  void put(std::uint32_t node, const Sha256Digest& digest, std::uint32_t label,
+           std::uint64_t generation);
 
   /// Graph-update sweep: evict the entries of exactly these nodes.  A graph
   /// mutation changes labels through the (private) neighbourhood while the
@@ -56,7 +54,10 @@ class LabelCache {
   /// set instead.  Returns the number of evicted entries.
   std::size_t invalidate_nodes(std::span<const std::uint32_t> nodes);
 
+  /// Evict everything and advance the generation.
   void clear();
+  /// Number of clear() calls so far.
+  std::uint64_t generation() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }
@@ -69,7 +70,7 @@ class LabelCache {
   };
 
   // Node-recycling allocators (common/arena.hpp): the evict-one/insert-one
-  // churn of a full cache — and the erase/insert traffic of the stale-digest
+  // churn of a full cache — and the erase/insert traffic of the eviction
   // sweeps — round-trips through a free list instead of the heap, keeping
   // the serving path allocation-free after warm-up.
   using Lru = std::list<Entry, RecyclingAllocator<Entry>>;
@@ -82,6 +83,7 @@ class LabelCache {
   mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kQueue);
   Lru lru_;  // front = most recently used
   Index index_;
+  std::uint64_t generation_ = 0;  // guarded by mu_
 };
 
 }  // namespace gv

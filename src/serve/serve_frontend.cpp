@@ -264,7 +264,11 @@ void ServeFrontEnd::execute_batch(Batch& b) {
   try {
     auto labels = b.arena.alloc_array<std::uint32_t>(n);
     std::span<Sha256Digest> digests{};
-    if (cache_.enabled()) digests = b.arena.alloc_array<Sha256Digest>(n);
+    std::uint64_t cache_generation = 0;
+    if (cache_.enabled()) {
+      digests = b.arena.alloc_array<Sha256Digest>(n);
+      cache_generation = cache_.generation();
+    }
     const auto result = backend_.execute(nodes, labels, digests);
     const auto done = std::chrono::steady_clock::now();
     record_query_stage(
@@ -278,7 +282,9 @@ void ServeFrontEnd::execute_batch(Batch& b) {
     metrics_.record_batch(waiters);
     const bool cacheable = cache_.enabled() && result.cacheable;
     for (std::size_t i = 0; i < n; ++i) {
-      if (cacheable) cache_.put(b.entries[i].node, digests[i], labels[i]);
+      if (cacheable) {
+        cache_.put(b.entries[i].node, digests[i], labels[i], cache_generation);
+      }
       const double ms = std::chrono::duration<double, std::milli>(
                             done - b.entries[i].enqueued)
                             .count();

@@ -100,10 +100,9 @@ void VaultServer::update_features(const CsrMatrix& new_features) {
              "feature update must keep the feature dimension");
     snap_ = std::move(fresh);
   }
-  // Digest-based invalidation: entries for rows that actually changed are
-  // evicted; untouched rows keep their labels (see LabelCache docs for the
-  // locality approximation this accepts).
-  frontend_.cache().invalidate_stale(new_features);
+  // A label also moves when a NEIGHBOUR's row changes, and the untrusted
+  // front end cannot know the private neighbourhood: drop every entry.
+  frontend_.cache().clear();
   frontend_.metrics().record_feature_update();
 }
 

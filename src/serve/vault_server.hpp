@@ -68,9 +68,9 @@ class VaultServer : private ServeBackend {
   std::uint32_t query(std::uint32_t node) { return frontend_.query(node); }
 
   /// Swap in a new feature snapshot (same node set and feature dim): the
-  /// backbone embeddings recompute lazily on the next batch, and cached
-  /// labels whose feature-row digest changed are evicted.  Requests already
-  /// queued resolve against the NEW snapshot.
+  /// backbone embeddings recompute lazily on the next batch, and the label
+  /// cache is cleared (a neighbour's row moves a label too).  Requests
+  /// already queued resolve against the NEW snapshot.
   void update_features(const CsrMatrix& new_features);
 
   /// Force-flush pending requests without waiting for the deadline.

@@ -67,6 +67,13 @@ class MemoryLedger {
     GV_RANK_SCOPE(lockrank::kChannel);
     return peak_;
   }
+  /// Bytes of one named allocation (0 when absent).
+  std::size_t bytes(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    GV_RANK_SCOPE(lockrank::kChannel);
+    const auto it = live_.find(name);
+    return it == live_.end() ? 0 : it->second;
+  }
   std::size_t live_allocations() const {
     std::lock_guard<std::mutex> lock(*mu_);
     GV_RANK_SCOPE(lockrank::kChannel);

@@ -146,6 +146,13 @@ void ReplicaManager::sync_labels_locked() {
       continue;
     }
     if (!rep.ready.load() || !primary_->shard_alive(s)) continue;
+    // A package replicated before a migration or graph update describes a
+    // retired owned set, so a bare label sync cannot line up with it:
+    // re-replicate package and labels together.
+    if (rep.synced_topology.load() != primary_->topology_version()) {
+      replicate_one(s);
+      continue;
+    }
     // A store with graph-update-invalidated entries must not be shipped as
     // fresh (the stale bits do not travel); skip until it heals.
     if (primary_->stale_store_entries(s) > 0) continue;

@@ -91,7 +91,9 @@ class ReplicaManager {
   bool ready(std::uint32_t shard) const;
 
   /// Re-ship every live primary shard's label store (after a feature
-  /// refresh).  Dead primaries keep their last replicated labels.
+  /// refresh); a standby whose package predates the live topology (a
+  /// migration or graph update since its replication) gets package and
+  /// labels anew.  Dead primaries keep their last replicated labels.
   void sync_labels();
 
   // --- Promotion to PRIMARY. ---------------------------------------------

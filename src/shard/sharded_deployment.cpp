@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -20,9 +21,6 @@ namespace gv {
 namespace {
 
 constexpr const char* kCodeTagPrefix = "shardvault-rectifier-v1:";
-
-/// Sentinel for cold_forward: no shard's stores are being (re)materialized.
-constexpr std::uint32_t kNoRetain = 0xffffffffu;
 
 /// Position of `v` in sorted `ids`; throws when absent.
 std::uint32_t position_of(const std::vector<std::uint32_t>& ids, std::uint32_t v,
@@ -151,13 +149,7 @@ void ShardedVaultDeployment::install_payload(Shard& shard) {
     const ShardPayload& p = shard.payload;
     GV_CHECK(p.closure_deg.size() == p.closure.size(),
              "shard payload missing closure degrees");
-    std::vector<CooEntry> entries;
-    entries.reserve(p.adj_row.size());
-    for (std::size_t i = 0; i < p.adj_row.size(); ++i) {
-      entries.push_back({p.adj_row[i], p.adj_col[i], p.adj_val[i]});
-    }
-    shard.sub_adj = std::make_shared<const CsrMatrix>(CsrMatrix::from_coo(
-        p.owned.size(), p.closure.size(), std::move(entries)));
+    rebuild_views_locked(shard);
 
     // GraphDrift mutable topology: per-row (global col, value) lists — the
     // payload triplets are row-major with ascending closure-local columns,
@@ -187,62 +179,51 @@ void ShardedVaultDeployment::install_payload(Shard& shard) {
         vault_.rectifier->config(), vault_.backbone().layer_dims(), shard.sub_adj,
         rng);
     shard.rectifier->deserialize_weights(p.rectifier_weights);
-    shard.bb_rows.assign(vault_.backbone().layer_dims().size(), Matrix());
-
-    // Boundary rows (owned-local, sorted): the union of every peer's halo
-    // list — the only rows whose activations a cold cross-shard pull can
-    // ever ask this shard for.
-    shard.boundary_rows.clear();
-    for (const auto& out_nodes : p.halo_out) {
-      for (const auto v : out_nodes) {
-        shard.boundary_rows.push_back(
-            position_of(p.owned, v, "halo node not owned"));
-      }
-    }
-    std::sort(shard.boundary_rows.begin(), shard.boundary_rows.end());
-    shard.boundary_rows.erase(
-        std::unique(shard.boundary_rows.begin(), shard.boundary_rows.end()),
-        shard.boundary_rows.end());
-    const std::size_t L = vault_.rectifier->config().channels.size();
-    shard.retained.assign(L >= 1 ? L - 1 : 0, Matrix());
-
-    auto& mem = shard.enclave->memory();
-    mem.set("rectifier.weights", shard.rectifier->parameter_bytes());
-    mem.set("shard.adj.coo", p.adj_row.size() * (2 * sizeof(std::uint32_t) +
-                                                 sizeof(float)));
-    mem.set("shard.adj.csr", shard.sub_adj->payload_bytes());
-    mem.set("shard.routing", p.owned.size() * sizeof(std::uint32_t) +
-                                 p.closure.size() * sizeof(std::uint32_t));
+    shard.enclave->memory().set("rectifier.weights",
+                                shard.rectifier->parameter_bytes());
   });
   shard.stale_count.store(0);
 }
 
 void ShardedVaultDeployment::rebuild_topology_locked(Shard& sh) {
-  // Caller is inside an ecall on sh.enclave: regenerate every derived view
-  // of the (mutated) adj_rows + closure arrays.
+  // Caller is inside an ecall on sh.enclave: regenerate the payload
+  // triplets from the (mutated) adj_rows, then every view derived from them.
   ShardPayload& p = sh.payload;
   GV_CHECK(sh.adj_rows.size() == p.owned.size(),
            "adjacency rows out of sync with the owned set");
   p.adj_row.clear();
   p.adj_col.clear();
   p.adj_val.clear();
-  std::vector<CooEntry> entries;
   for (std::uint32_t i = 0; i < sh.adj_rows.size(); ++i) {
     for (const auto& [c, v] : sh.adj_rows[i]) {
-      const std::uint32_t local =
-          position_of(p.closure, c, "adjacency column outside closure");
       p.adj_row.push_back(i);
-      p.adj_col.push_back(local);
+      p.adj_col.push_back(position_of(p.closure, c, "adjacency column outside closure"));
       p.adj_val.push_back(v);
-      entries.push_back({i, local, v});
     }
+  }
+  rebuild_views_locked(sh);
+  // Mutations persist: the sealed at-rest blob must match what a relaunch
+  // would need, so the payload is re-sealed under the shard's platform key.
+  if (opts_.seal_artifacts) {
+    sh.sealed = sh.enclave->seal(serialize_shard_payload(p));
+  }
+}
+
+void ShardedVaultDeployment::rebuild_views_locked(Shard& sh) {
+  const ShardPayload& p = sh.payload;
+  std::vector<CooEntry> entries;
+  entries.reserve(p.adj_row.size());
+  for (std::size_t i = 0; i < p.adj_row.size(); ++i) {
+    entries.push_back({p.adj_row[i], p.adj_col[i], p.adj_val[i]});
   }
   sh.sub_adj = std::make_shared<const CsrMatrix>(CsrMatrix::from_coo(
       p.owned.size(), p.closure.size(), std::move(entries)));
-  sh.rectifier->set_adjacency(sh.sub_adj);
+  if (sh.rectifier != nullptr) sh.rectifier->set_adjacency(sh.sub_adj);
 
-  // Boundary rows + retained activations: the halo lists may have moved,
-  // so the retained matrices (rows ~ old boundary_rows) are void.
+  // Boundary rows (owned-local, sorted): the union of every peer's halo
+  // list — the only rows whose activations a cross-shard pull can ever ask
+  // this shard for.  The halo lists may have moved, so the retained
+  // matrices (rows ~ old boundary_rows) are void.
   sh.boundary_rows.clear();
   for (const auto& out_nodes : p.halo_out) {
     for (const auto v : out_nodes) {
@@ -263,11 +244,7 @@ void ShardedVaultDeployment::rebuild_topology_locked(Shard& sh) {
   mem.set("shard.adj.csr", sh.sub_adj->payload_bytes());
   mem.set("shard.routing", p.owned.size() * sizeof(std::uint32_t) +
                                p.closure.size() * sizeof(std::uint32_t));
-  // Mutations persist: the sealed at-rest blob must match what a relaunch
-  // would need, so the payload is re-sealed under the shard's platform key.
-  if (opts_.seal_artifacts) {
-    sh.sealed = sh.enclave->seal(serialize_shard_payload(p));
-  }
+  mem.set("halo.retained", 0);
 }
 
 void ShardedVaultDeployment::adopt_shard(std::uint32_t shard,
@@ -531,202 +508,30 @@ void ShardedVaultDeployment::stream_full_matrix(Shard& sh, const Matrix& full,
   }
 }
 
-void ShardedVaultDeployment::stream_backbone_rows(const std::vector<Matrix>& outputs) {
-  const std::size_t n = plan_.owner.size();
-  parallel_phase("backbone_stream", [&](std::uint32_t s) {
-    Shard& sh = *shards_[s];
-    for (const std::size_t idx : required_layers_) {
-      GV_CHECK(idx < outputs.size() && !outputs[idx].empty(),
-               "required backbone output missing");
-      const Matrix& full = outputs[idx];
-      GV_CHECK(full.rows() == n, "backbone output covers a different node count");
-      const std::size_t dim = full.cols();
-      sh.enclave->ecall([&] {
-        sh.bb_rows[idx] = Matrix(sh.payload.closure.size(), dim);
-      });
-      stream_full_matrix(sh, full, [&](const Matrix& block, std::size_t r0) {
-        const auto& closure = sh.payload.closure;
-        auto it = std::lower_bound(closure.begin(), closure.end(),
-                                   static_cast<std::uint32_t>(r0));
-        for (; it != closure.end() && *it < r0 + block.rows(); ++it) {
-          const std::size_t local = static_cast<std::size_t>(it - closure.begin());
-          std::memcpy(sh.bb_rows[idx].data() + local * dim,
-                      block.data() + (*it - r0) * dim, dim * sizeof(float));
-        }
-      });
-      sh.enclave->memory().set("bb.rows." + std::to_string(idx),
-                               sh.bb_rows[idx].payload_bytes());
-    }
-  });
-}
-
 void ShardedVaultDeployment::refresh(const CsrMatrix& features) {
   std::lock_guard<std::mutex> lock(*infer_mu_);
   GV_RANK_SCOPE(lockrank::kDeployment);
-  TraceSpan refresh_span("fleet", "refresh");
-  const double refresh_parallel_before = parallel_seconds_.load();
   for (const auto& sh : shards_) {
     GV_CHECK(sh->alive, "refresh requires every shard enclave alive");
   }
-  GV_CHECK(features.rows() == plan_.owner.size(),
-           "features cover a different node count");
+  const std::size_t n = plan_.owner.size();
+  GV_CHECK(features.rows() == n, "features cover a different node count");
 
-  // Whatever happens below, the previously retained boundary activations no
-  // longer match the stores a completed refresh would leave behind.
+  // Live compute everywhere: whatever happens below, the previously
+  // retained boundary activations no longer match the stores a completed
+  // refresh would leave behind, so no halo pull may be served from them.
   for (const auto& sh : shards_) sh->retained_valid.store(false);
 
   const std::uint64_t fingerprint = features_fingerprint(features);
-  bool bb_cache_hit = false;
-  const auto& outputs = backbone_for(features, fingerprint, &bb_cache_hit);
-
-  stream_backbone_rows(outputs);
-
-  const auto& cfg = vault_.rectifier->config();
-  const std::size_t L = cfg.channels.size();
-  const auto dims = vault_.backbone().layer_dims();
-  const std::size_t penult = dims.size() >= 2 ? dims.size() - 2 : 0;
-
-  for (std::size_t k = 0; k < L; ++k) {
-    const bool last = (k + 1 == L);
-    // --- Compute: every shard advances its owned rows one layer. ---------
-    parallel_phase("layer_compute", std::int64_t(k), [&](std::uint32_t s) {
-      Shard& sh = *shards_[s];
-      sh.enclave->ecall([&] {
-        Matrix input;
-        switch (cfg.kind) {
-          case RectifierKind::kParallel:
-            input = k == 0 ? sh.bb_rows[0]
-                           : Matrix::hconcat(sh.bb_rows[k], sh.h_closure);
-            break;
-          case RectifierKind::kCascaded:
-            if (k == 0) {
-              std::vector<const Matrix*> blocks;
-              blocks.reserve(dims.size());
-              for (std::size_t i = 0; i < dims.size(); ++i) {
-                blocks.push_back(&sh.bb_rows[i]);
-              }
-              input = Matrix::hconcat(
-                  std::span<const Matrix* const>(blocks.data(), blocks.size()));
-            } else {
-              input = std::move(sh.h_closure);
-            }
-            break;
-          case RectifierKind::kSeries:
-            input = k == 0 ? sh.bb_rows[penult] : std::move(sh.h_closure);
-            break;
-        }
-        Matrix z = sh.rectifier->layer(k).forward_subgraph(*sh.sub_adj, input);
-        sh.h_owned = last ? std::move(z) : relu(z);
-        sh.enclave->memory().set("rect.act." + std::to_string(k),
-                                 sh.h_owned.payload_bytes());
-        if (last) {
-          // Label-only store: argmax inside the enclave; logits never leave.
-          sh.labels = argmax_rows(sh.h_owned);
-          sh.label_stale.assign(sh.labels.size(), 0);  // recomputed: all fresh
-          sh.enclave->memory().set("labels.store",
-                                   sh.labels.size() * sizeof(std::uint32_t));
-        } else {
-          // Retain the boundary rows' activations: they answer cold
-          // cross-shard halo pulls (and incremental promotion
-          // re-materialization) without recomputing this layer.
-          sh.retained[k] = sh.h_owned.gather_rows(sh.boundary_rows);
-        }
-      });
-    });
-    if (last) break;
-
-    // --- Halo exchange: boundary embeddings cross attested channels. ------
-    parallel_phase("halo_send", std::int64_t(k), [&](std::uint32_t s) {
-      Shard& sh = *shards_[s];
-      sh.enclave->ecall([&] {
-        for (std::uint32_t t = 0; t < plan_.num_shards; ++t) {
-          const auto& out_nodes = sh.payload.halo_out[t];
-          if (out_nodes.empty()) continue;
-          std::vector<std::uint32_t> positions;
-          positions.reserve(out_nodes.size());
-          for (const auto v : out_nodes) {
-            positions.push_back(
-                position_of(sh.payload.owned, v, "halo node not owned"));
-          }
-          channel(s, t)->send_embeddings(*sh.enclave, out_nodes,
-                                         sh.h_owned.gather_rows(positions));
-        }
-      });
-    });
-    // --- Assemble the next layer's closure input (own + received rows). ---
-    parallel_phase("halo_assemble", std::int64_t(k), [&](std::uint32_t s) {
-      Shard& sh = *shards_[s];
-      sh.enclave->ecall([&] {
-        const auto& closure = sh.payload.closure;
-        const std::size_t ch_cols = sh.h_owned.cols();
-        sh.h_closure = Matrix(closure.size(), ch_cols);
-        std::size_t filled = 0;
-        for (std::size_t i = 0; i < sh.payload.owned.size(); ++i) {
-          const std::uint32_t local =
-              position_of(closure, sh.payload.owned[i], "owned not in closure");
-          std::memcpy(sh.h_closure.data() + local * ch_cols,
-                      sh.h_owned.data() + i * ch_cols, ch_cols * sizeof(float));
-          ++filled;
-        }
-        for (std::uint32_t t = 0; t < plan_.num_shards; ++t) {
-          if (t == s) continue;
-          AttestedChannel* ch = t > s ? channels_[std::size_t(s) * plan_.num_shards + t].get()
-                                      : channels_[std::size_t(t) * plan_.num_shards + s].get();
-          if (ch == nullptr) continue;
-          while (ch->has_embeddings(*sh.enclave)) {
-            const auto block = ch->recv_embeddings(*sh.enclave);
-            GV_CHECK(block.rows.cols() == ch_cols, "halo embedding dim mismatch");
-            for (std::size_t i = 0; i < block.nodes.size(); ++i) {
-              const std::uint32_t local = position_of(
-                  closure, block.nodes[i], "halo node outside closure");
-              std::memcpy(sh.h_closure.data() + local * ch_cols,
-                          block.rows.data() + i * ch_cols,
-                          ch_cols * sizeof(float));
-              ++filled;
-            }
-          }
-        }
-        GV_CHECK(filled == closure.size(), "halo exchange left closure rows unfilled");
-        sh.enclave->memory().set("halo.h_closure", sh.h_closure.payload_bytes());
-      });
-    });
-  }
-
-  // Release the forward pass's transient state: labels are materialized, so
-  // steady-state shard residency is weights + adjacency + label store and
-  // lookup ecalls never feel EPC pressure (the refresh peak is what the
-  // planner budgeted for).
-  parallel_phase("release_transients", [&](std::uint32_t s) {
-    Shard& sh = *shards_[s];
-    sh.enclave->ecall([&] {
-      auto& mem = sh.enclave->memory();
-      for (const std::size_t idx : required_layers_) {
-        sh.bb_rows[idx] = Matrix();
-        mem.free("bb.rows." + std::to_string(idx));
-      }
-      sh.h_owned = Matrix();
-      sh.h_closure = Matrix();
-      for (std::size_t k = 0; k < L; ++k) mem.free("rect.act." + std::to_string(k));
-      if (L > 1) mem.free("halo.h_closure");
-      std::size_t retained_bytes = 0;
-      for (const auto& m : sh.retained) retained_bytes += m.payload_bytes();
-      mem.set("halo.retained", retained_bytes);
-    });
-  });
-  for (const auto& sh : shards_) {
-    sh->store_ready.store(true);
-    sh->retained_valid.store(true);
-    sh->stale_count.store(0);
-  }
+  std::vector<std::uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  ColdSubsetStats stats;
+  frontier_forward("refresh", features, fingerprint, all, &stats,
+                   RetainSet{std::vector<char>(plan_.num_shards, 1), true});
   store_fingerprint_ = fingerprint;
   have_store_fingerprint_ = true;
   refreshed_ = true;
   epoch_.fetch_add(1);
-  refresh_span.modeled_seconds(parallel_seconds_.load() - refresh_parallel_before);
-  // Push telemetry at the state change, not only when stats() is pulled:
-  // a refresh is exactly when EPC occupancy and channel traffic move.
-  publish_epc_gauges();
-  publish_channel_audit();
 }
 
 std::vector<std::uint32_t> ShardedVaultDeployment::infer_labels(
@@ -881,24 +686,37 @@ std::vector<std::uint32_t> ShardedVaultDeployment::infer_labels_subset_cold(
 std::vector<std::uint32_t> ShardedVaultDeployment::infer_labels_subset_cold(
     const CsrMatrix& features, std::uint64_t fingerprint,
     std::span<const std::uint32_t> nodes, ColdSubsetStats* stats) {
+  // An enclave that died under an engine ecall — this query's, or an
+  // earlier refresh's — was only RECORDED inside the lock; hand it to the
+  // failure handler once infer_mu_ is free (the handler may join a
+  // promotion whose adopt_shard needs it).
+  std::vector<std::uint32_t> labels;
   try {
     std::lock_guard<std::mutex> lock(*infer_mu_);
     GV_RANK_SCOPE(lockrank::kDeployment);
     ColdSubsetStats local;
-    return cold_forward(features, fingerprint, nodes,
-                        stats != nullptr ? stats : &local, kNoRetain,
-                        RetainMode::kNone);
+    labels = frontier_forward("cold_forward", features, fingerprint, nodes,
+                              stats != nullptr ? stats : &local, RetainSet{});
   } catch (...) {
-    // An enclave that died under a cold ecall was only RECORDED inside the
-    // lock; hand it to the failure handler now that infer_mu_ is free (the
-    // handler may join a promotion whose adopt_shard needs it).
     notify_pending_fault();
     throw;
   }
+  notify_pending_fault();
+  return labels;
 }
 
 void ShardedVaultDeployment::rematerialize_shard(std::uint32_t shard,
                                                  const CsrMatrix& features) {
+  retain_shard(shard, features, /*labels=*/true);
+}
+
+void ShardedVaultDeployment::rebuild_boundary_retained(std::uint32_t shard,
+                                                       const CsrMatrix& features) {
+  retain_shard(shard, features, /*labels=*/false);
+}
+
+void ShardedVaultDeployment::retain_shard(std::uint32_t shard,
+                                          const CsrMatrix& features, bool labels) {
   GV_CHECK(shard < plan_.num_shards, "shard index out of range");
   std::lock_guard<std::mutex> lock(*infer_mu_);
   GV_RANK_SCOPE(lockrank::kDeployment);
@@ -910,38 +728,26 @@ void ShardedVaultDeployment::rematerialize_shard(std::uint32_t shard,
   GV_CHECK(have_store_fingerprint_ && fingerprint == store_fingerprint_,
            "incremental re-materialization requires the current refresh "
            "snapshot (a feature change must go through refresh())");
-  ColdSubsetStats stats;
-  cold_forward(features, fingerprint, plan_.shards[shard].nodes, &stats, shard,
-               RetainMode::kFull);
-  sh.store_ready.store(true);
-  sh.retained_valid.store(true);
-  sh.stale_count.store(0);  // the full owned set was just recomputed
-}
-
-void ShardedVaultDeployment::rebuild_boundary_retained(std::uint32_t shard,
-                                                       const CsrMatrix& features) {
-  GV_CHECK(shard < plan_.num_shards, "shard index out of range");
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
-  Shard& sh = *shards_[shard];
-  GV_CHECK(sh.alive.load(), "cannot rebuild retained stores of a dead shard");
-  GV_CHECK(refreshed_.load(),
-           "boundary rebuild requires a completed refresh");
-  const std::uint64_t fingerprint = features_fingerprint(features);
-  GV_CHECK(have_store_fingerprint_ && fingerprint == store_fingerprint_,
-           "boundary rebuild requires the current refresh snapshot");
-  // Boundary rows as global ids (read under the enclave's entry mutex).
-  std::vector<std::uint32_t> boundary;
-  sh.enclave->ecall([&] {
-    boundary.reserve(sh.boundary_rows.size());
-    for (const auto r : sh.boundary_rows) boundary.push_back(sh.payload.owned[r]);
-  });
-  if (!boundary.empty()) {
-    ColdSubsetStats stats;
-    cold_forward(features, fingerprint, boundary, &stats, shard,
-                 RetainMode::kBoundary);
+  // The label store needs the whole owned set; boundary activations only
+  // the boundary rows (as global ids, read under the enclave's entry mutex).
+  std::vector<std::uint32_t> rows;
+  if (labels) {
+    rows = plan_.shards[shard].nodes;
+  } else {
+    sh.enclave->ecall([&] {
+      rows.reserve(sh.boundary_rows.size());
+      for (const auto r : sh.boundary_rows) rows.push_back(sh.payload.owned[r]);
+    });
   }
-  sh.retained_valid.store(true);
+  if (rows.empty()) {  // nothing any peer could pull, no label to store
+    sh.retained_valid.store(true);
+    if (labels) sh.store_ready.store(true);
+    return;
+  }
+  ColdSubsetStats stats;
+  RetainSet retain{std::vector<char>(plan_.num_shards, 0), labels};
+  retain.shards[shard] = 1;
+  frontier_forward("cold_forward", features, fingerprint, rows, &stats, retain);
 }
 
 GraphUpdateStats ShardedVaultDeployment::update_graph(
@@ -1651,23 +1457,27 @@ double ShardedVaultDeployment::move_node(std::uint32_t node, std::uint32_t to) {
   return fence_ms;
 }
 
-std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
-    const CsrMatrix& features, std::uint64_t fingerprint,
+std::vector<std::uint32_t> ShardedVaultDeployment::frontier_forward(
+    const char* span, const CsrMatrix& features, std::uint64_t fingerprint,
     std::span<const std::uint32_t> nodes, ColdSubsetStats* stats,
-    std::uint32_t retain_shard, RetainMode retain_mode) {
+    const RetainSet& retain) {
   const std::size_t n = plan_.owner.size();
   GV_CHECK(features.rows() == n, "features cover a different node count");
   if (nodes.empty()) return {};
   for (const auto v : nodes) GV_CHECK(v < n, "query node out of range");
 
-  TraceSpan cold_span("fleet", "cold_forward");
-  cold_span.arg("nodes", double(nodes.size()));
+  TraceSpan forward_span("fleet", span);
+  forward_span.arg("nodes", double(nodes.size()));
 
   const auto& cfg = vault_.rectifier->config();
   const std::size_t L = cfg.channels.size();
   const auto dims = vault_.backbone().layer_dims();
-  const std::size_t penult = dims.size() >= 2 ? dims.size() - 2 : 0;
   const std::uint32_t K = plan_.num_shards;
+  GV_CHECK(retain.shards.empty() || retain.shards.size() == K,
+           "retain set must name every shard");
+  auto retains = [&](std::uint32_t s) {
+    return !retain.shards.empty() && retain.shards[s] != 0;
+  };
 
   // Retained boundary stores may serve halo pulls only when they were
   // materialized from THIS feature snapshot.
@@ -1700,12 +1510,12 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
   std::vector<char> involved(K, 0);
   std::vector<std::vector<char>> computes(L, std::vector<char>(K, 0));
 
-  auto ensure_cold = [&](std::uint32_t s) {
+  auto involve = [&](std::uint32_t s) {
     if (involved[s]) return;
     Shard& sh = *shards_[s];
     GV_CHECK(sh.alive.load(), "shard enclave is down (cold frontier)");
     cold_ecall(s, [&] {
-      auto& cq = sh.cold;
+      auto& cq = sh.frontier;
       cq.out_rows.assign(L, {});
       cq.in_cols.assign(L, {});
       cq.serve_live.assign(L, std::vector<std::vector<std::uint32_t>>(K));
@@ -1715,8 +1525,8 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
       cq.h = Matrix();
       cq.query_id = 0;
       auto& mem = sh.enclave->memory();
-      mem.set("cold.bb", 0);
-      mem.set("cold.h", 0);
+      mem.set("frontier.bb", 0);
+      mem.set("frontier.h", 0);
     });
     involved[s] = 1;
   };
@@ -1729,10 +1539,10 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
     // the walk stops at the boundary) or joins the computation.
     for (std::uint32_t s = 0; s < K; ++s) {
       if (qnodes[s].empty()) continue;
-      ensure_cold(s);
+      involve(s);
       Shard& sh = *shards_[s];
       cold_ecall(s, [&] {
-        auto& rows = sh.cold.out_rows[L - 1];
+        auto& rows = sh.frontier.out_rows[L - 1];
         rows.reserve(qnodes[s].size());
         for (const auto v : qnodes[s]) {
           rows.push_back(position_of(sh.payload.owned, v, "query node not owned"));
@@ -1749,7 +1559,7 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
         std::vector<std::uint32_t> peers;
         std::size_t frontier_rows = 0;
         cold_ecall(s, [&] {
-          auto& cq = sh.cold;
+          auto& cq = sh.frontier;
           auto& rows = cq.out_rows[k];
           std::sort(rows.begin(), rows.end());
           rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
@@ -1789,12 +1599,12 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
 
       for (std::uint32_t t = 0; t < K; ++t) {
         if (requesters[t].empty()) continue;
-        ensure_cold(t);
+        involve(t);
         Shard& sh = *shards_[t];
         const bool from_store = stores_fresh && sh.retained_valid.load();
         bool live = false;
         cold_ecall(t, [&] {
-          auto& cq = sh.cold;
+          auto& cq = sh.frontier;
           for (const auto s : requesters[t]) {
             std::uint64_t qid = 0;
             auto want = channel(s, t)->recv_request(*sh.enclave, &qid);
@@ -1826,34 +1636,27 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
     const auto& outputs = backbone_for(features, fingerprint, &bb_cache_hit);
     stats->backbone_cache_hit = bb_cache_hit;
 
-    parallel_phase("cold_backbone_stage", [&](std::uint32_t s) {
+    parallel_phase("backbone_stream", [&](std::uint32_t s) {
       if (!involved[s] || !computes[0][s]) return;
       Shard& sh = *shards_[s];
       try {
       sh.enclave->ecall([&] {
-        auto& cq = sh.cold;
-        switch (cfg.kind) {
-          case RectifierKind::kParallel:
-            for (std::size_t kk = 0; kk < L; ++kk) {
-              if (computes[kk][s]) cq.bb_need[kk] = cq.in_cols[kk];
-            }
-            break;
-          case RectifierKind::kCascaded:
-            for (const std::size_t idx : required_layers_) {
-              cq.bb_need[idx] = cq.in_cols[0];
-            }
-            break;
-          case RectifierKind::kSeries:
-            cq.bb_need[penult] = cq.in_cols[0];
-            break;
+        // Each backbone layer is staged at the input frontier of the
+        // rectifier layer that reads it.
+        auto& cq = sh.frontier;
+        for (std::size_t k = 0; k < L; ++k) {
+          if (!computes[k][s]) continue;
+          for (const std::size_t idx : sh.rectifier->inputs(k).backbone) {
+            cq.bb_need[idx] = cq.in_cols[k];
+          }
         }
       });
       for (const std::size_t idx : required_layers_) {
         bool needed = false;
         std::size_t need_rows = 0;
         sh.enclave->ecall([&] {
-          needed = !sh.cold.bb_need[idx].empty();
-          need_rows = sh.cold.bb_need[idx].size();
+          needed = !sh.frontier.bb_need[idx].empty();
+          need_rows = sh.frontier.bb_need[idx].size();
         });
         if (!needed) continue;
         GV_CHECK(idx < outputs.size() && !outputs[idx].empty(),
@@ -1861,16 +1664,16 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
         const Matrix& full = outputs[idx];
         GV_CHECK(full.rows() == n, "backbone output covers a different node count");
         const std::size_t dim = full.cols();
-        sh.enclave->ecall([&] { sh.cold.bb[idx] = Matrix(need_rows, dim); });
+        sh.enclave->ecall([&] { sh.frontier.bb[idx] = Matrix(need_rows, dim); });
         stream_full_matrix(sh, full, [&](const Matrix& block, std::size_t r0) {
           const auto& closure = sh.payload.closure;
-          const auto& need = sh.cold.bb_need[idx];
+          const auto& need = sh.frontier.bb_need[idx];
           auto it = std::lower_bound(
               need.begin(), need.end(), r0,
               [&](std::uint32_t c, std::size_t v) { return closure[c] < v; });
           for (; it != need.end() && closure[*it] < r0 + block.rows(); ++it) {
             const std::size_t local = static_cast<std::size_t>(it - need.begin());
-            std::memcpy(sh.cold.bb[idx].data() + local * dim,
+            std::memcpy(sh.frontier.bb[idx].data() + local * dim,
                         block.data() + (closure[*it] - r0) * dim,
                         dim * sizeof(float));
           }
@@ -1878,8 +1681,8 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
       }
       sh.enclave->ecall([&] {
         std::size_t bytes = 0;
-        for (const auto& m : sh.cold.bb) bytes += m.payload_bytes();
-        sh.enclave->memory().set("cold.bb", bytes);
+        for (const auto& m : sh.frontier.bb) bytes += m.payload_bytes();
+        sh.enclave->memory().set("frontier.bb", bytes);
       });
       } catch (const EnclaveFailure&) {
         // Covers every staging ecall above, the streaming chunks included.
@@ -1888,27 +1691,27 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
       }
     });
 
-    // --- Layer-synchronous cold compute.  Before layer k, every provider
+    // --- Layer-synchronous compute.  Before layer k, every provider
     // ships the layer k-1 rows its peers requested (from the retained store
     // or the freshly computed frontier); then the computing shards assemble
     // their inputs, slice their sub-adjacency to the frontier, and advance.
     for (std::size_t k = 0; k < L; ++k) {
       const bool last = (k + 1 == L);
       if (k >= 1) {
-        parallel_phase("cold_halo_serve", std::int64_t(k), [&](std::uint32_t t) {
+        parallel_phase("halo_send", std::int64_t(k), [&](std::uint32_t t) {
           if (!involved[t]) return;
           Shard& sh = *shards_[t];
           // QueryLens: this shard's serving work belongs to the query whose
           // sealed halo-request trailer delivered the id — channel-carried
           // attribution, not coordinator bookkeeping.
-          QueryScope qscope(sh.cold.query_id);
+          QueryScope qscope(sh.frontier.query_id);
           TraceSpan serve_span("cold", "halo_serve");
           serve_span.arg("shard", double(t));
           serve_span.arg("layer", double(k));
           const auto halo_start = std::chrono::steady_clock::now();
           bool served = false;
           cold_ecall(t, [&] {
-            auto& cq = sh.cold;
+            auto& cq = sh.frontier;
             for (std::uint32_t s2 = 0; s2 < K; ++s2) {
               const auto& store_rows = cq.serve_store[k - 1][s2];
               if (!store_rows.empty()) {
@@ -1963,11 +1766,11 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
         });
       }
 
-      parallel_phase("cold_layer_compute", std::int64_t(k), [&](std::uint32_t s) {
+      parallel_phase("layer_compute", std::int64_t(k), [&](std::uint32_t s) {
         if (!computes[k][s]) return;
         Shard& sh = *shards_[s];
         cold_ecall(s, [&] {
-          auto& cq = sh.cold;
+          auto& cq = sh.frontier;
           const auto& in_cols = cq.in_cols[k];
 
           // Previous-layer rows of the input frontier: own rows from the
@@ -2019,43 +1822,25 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
             return prev;
           };
 
-          Matrix input;
-          switch (cfg.kind) {
-            case RectifierKind::kParallel:
-              input = k == 0 ? std::move(cq.bb[0])
-                             : Matrix::hconcat(cq.bb[k], assemble_prev());
-              break;
-            case RectifierKind::kCascaded:
-              if (k == 0) {
-                std::vector<const Matrix*> blocks;
-                blocks.reserve(dims.size());
-                for (std::size_t i = 0; i < dims.size(); ++i) {
-                  blocks.push_back(&cq.bb[i]);
-                }
-                input = Matrix::hconcat(
-                    std::span<const Matrix* const>(blocks.data(), blocks.size()));
-              } else {
-                input = assemble_prev();
-              }
-              break;
-            case RectifierKind::kSeries:
-              input = k == 0 ? std::move(cq.bb[penult]) : assemble_prev();
-              break;
-          }
+          const Matrix input = sh.rectifier->layer_input(
+              k, [&](std::size_t idx) -> const Matrix& { return cq.bb[idx]; },
+              k > 0 ? assemble_prev() : Matrix());
 
           const CsrMatrix slice =
               sh.rectifier->frontier_slice(cq.out_rows[k], in_cols);
           Matrix z = sh.rectifier->layer(k).forward_subgraph(slice, input);
           cq.h = last ? std::move(z) : relu(z);
-          sh.enclave->memory().set("cold.h",
+          sh.enclave->memory().set("frontier.h",
                                    input.payload_bytes() + cq.h.payload_bytes());
 
-          if (retain_shard == s && retain_mode != RetainMode::kNone) {
-            // Re-materialization pass: reinstall this shard's durable stores
-            // from the freshly computed frontier (full owned set for kFull;
-            // kBoundary touches only the retained activations).
+          if (retains(s)) {
+            // Reinstall this shard's durable stores from the freshly
+            // computed frontier: the label store from the last layer (its
+            // rows are the full owned set) and the boundary rows'
+            // activations, which answer later cross-shard halo pulls
+            // without recomputing.
             if (last) {
-              if (retain_mode == RetainMode::kFull) {
+              if (retain.labels) {
                 GV_CHECK(cq.out_rows[k].size() == sh.payload.owned.size(),
                          "re-materialization must cover every owned node");
                 sh.labels = argmax_rows(cq.h);
@@ -2088,7 +1873,7 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
       Shard& sh = *shards_[s];
       std::size_t healed = 0;
       labels_by_shard[s] = cold_ecall(s, [&] {
-        auto& cq = sh.cold;
+        auto& cq = sh.frontier;
         GV_CHECK(cq.h.rows() == cq.out_rows[L - 1].size(),
                  "cold forward produced a malformed frontier");
         std::vector<std::uint32_t> all = argmax_rows(cq.h);
@@ -2097,8 +1882,8 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
         std::vector<std::uint32_t> res;
         res.reserve(qnodes[s].size());
         const auto& rows = cq.out_rows[L - 1];
-        const bool heal = retain_mode == RetainMode::kNone && stores_fresh &&
-                          sh.store_ready.load() && !sh.labels.empty();
+        const bool heal = !retains(s) && stores_fresh && sh.store_ready.load() &&
+                          !sh.labels.empty();
         for (const auto v : qnodes[s]) {
           const std::uint32_t r =
               position_of(sh.payload.owned, v, "query node not owned");
@@ -2127,17 +1912,36 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
       out[j] = labels_by_shard[s][static_cast<std::size_t>(it - q.begin())];
     }
 
-    // --- Release transients + telemetry. -----------------------------------
-    parallel_phase("cold_release", [&](std::uint32_t s) {
-      if (!involved[s]) return;
+    // --- Release the transients: steady-state residency is weights +
+    // adjacency + label store + retained activations, so lookup ecalls
+    // never feel EPC pressure (the forward's peak is what the planner
+    // budgeted for).
+    parallel_phase("release_transients", [&](std::uint32_t s) {
+      if (!involved[s] && !retains(s)) return;
       Shard& sh = *shards_[s];
       cold_ecall(s, [&] {
-        sh.cold = Shard::Cold{};
         auto& mem = sh.enclave->memory();
-        mem.free("cold.bb");
-        mem.free("cold.h");
+        if (involved[s]) {
+          sh.frontier = Shard::Frontier{};
+          mem.free("frontier.bb");
+          mem.free("frontier.h");
+        }
+        if (retains(s)) {
+          std::size_t retained_bytes = 0;
+          for (const auto& m : sh.retained) retained_bytes += m.payload_bytes();
+          mem.set("halo.retained", retained_bytes);
+        }
       });
     });
+    for (std::uint32_t s = 0; s < K; ++s) {
+      if (!retains(s)) continue;
+      Shard& sh = *shards_[s];
+      sh.retained_valid.store(true);
+      if (retain.labels) {
+        sh.store_ready.store(true);
+        sh.stale_count.store(0);  // the full owned set was just recomputed
+      }
+    }
 
     std::size_t touched = 0, computed = 0;
     for (std::uint32_t s = 0; s < K; ++s) {
@@ -2157,8 +1961,14 @@ std::vector<std::uint32_t> ShardedVaultDeployment::cold_forward(
     stats->halo_embedding_bytes = emb_after - emb_bytes_before;
     stats->modeled_seconds = (parallel_seconds_.load() - parallel_before) +
                              (untrusted_seconds_.load() - untrusted_before);
-    cold_span.arg("shards_touched", double(touched));
-    cold_span.modeled_seconds(stats->modeled_seconds);
+    forward_span.arg("shards_touched", double(touched));
+    forward_span.modeled_seconds(stats->modeled_seconds);
+    if (!retain.shards.empty()) {
+      // Push telemetry at the state change, not only when stats() is
+      // pulled: re-materialized stores are when EPC occupancy moves.
+      publish_epc_gauges();
+      publish_channel_audit();
+    }
     return out;
   } catch (...) {
     // A walk aborted mid-exchange (dead frontier shard, malformed query)

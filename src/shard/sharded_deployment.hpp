@@ -3,40 +3,37 @@
 // Each shard is its own Enclave (own sealed shard package, possibly its own
 // SGX platform) holding: the replicated rectifier weights, the shard's rows
 // of the GLOBAL normalized private adjacency (columns spanning the one-hop
-// closure), and the halo routing lists derived from the cut edges.  A
-// refresh runs the public backbone once in the untrusted world, then a
-// layer-synchronous sharded rectifier forward:
+// closure), and the halo routing lists derived from the cut edges.
 //
-//   stream   the full public embedding matrices are pushed to every shard
-//            in fixed-size chunks; each enclave keeps only its closure rows
-//            (the untrusted side's access pattern is the full matrix, so it
-//            learns nothing about shard neighbourhoods);
-//   compute  layer k: every shard multiplies its owned rows of Â against
-//            its closure input rows — bit-exact against the unsharded
-//            forward because values and column order match the global CSR;
-//   exchange boundary-node embeddings cross mutually attested
-//            enclave-to-enclave channels (sgxsim/attested_channel.hpp) to
-//            become the halo part of the next layer's closure input.  ONLY
-//            embeddings and labels ride these channels; the cut edges and
-//            sub-adjacencies never leave any enclave.
+// ONE FORWARD ENGINE (frontier_forward) serves a fleet refresh, a cold
+// subset query and a promotion's re-materialization alike:
 //
-// The final layer's argmax lands in an enclave-resident label store per
-// shard; serving is then a label-only lookup ecall into the owner shard
-// (one per routed micro-batch), and the paper's label-only output invariant
-// (Sec. IV-E) holds shard-locally and globally.
+//   walk     last layer first, each shard expands its rows one hop over its
+//            own sub-adjacency inside its enclave; columns owned by a peer
+//            become halo-pull requests over mutually attested enclave-to-
+//            enclave channels (sgxsim/attested_channel.hpp), and the peer
+//            answers from boundary activations retained at the last
+//            refresh or joins the computation;
+//   stream   the full public embedding matrices are pushed to every
+//            computing shard in fixed-size chunks; each enclave keeps only
+//            the rows its frontier reads (the untrusted access pattern is
+//            the full matrix, so it learns nothing about neighbourhoods);
+//   compute  layer by layer, providers ship the requested embeddings, then
+//            every computing shard multiplies its frontier rows of Â
+//            against them — bit-exact against the unsharded forward
+//            because values and column order match the global CSR.  ONLY
+//            embeddings, halo-pull requests and labels ride the channels;
+//            the cut edges and sub-adjacencies never leave any enclave.
 //
-// COLD PATH (demand-driven).  Materialized label stores are a CACHE, not
-// the only source of truth: infer_labels_subset_cold computes labels for an
-// arbitrary node subset by walking the query's L-hop frontier ACROSS shard
-// boundaries — each shard expands one hop inside its own enclave (the
-// adjacency never leaves), boundary columns become halo-pull requests over
-// the attested channels, and only the frontier's shards do any work.  When
-// the fleet is warm, a shard's boundary-row activations retained at the
-// last refresh answer pulls without recompute, so a cold query touches its
-// owner shards plus store-serving neighbors instead of the whole fleet.
-// The same machinery gives promotions an incremental re-materialization
-// (rematerialize_shard): only the adopted shard's store is rebuilt, via a
-// shard-local forward with halo pulls from the survivors.
+// A refresh is the engine over every node, each shard retaining its label
+// store (the final layer's argmax, inside the enclave) and boundary-row
+// activations; serving is then a label-only lookup ecall into the owner
+// shard, so the paper's label-only output invariant (Sec. IV-E) holds
+// shard-locally and globally.  The stores are a CACHE, not the only source
+// of truth: infer_labels_subset_cold runs the engine over a node subset
+// (only the frontier's shards work, and warm peers answer from retained
+// activations), and rematerialize_shard rebuilds one adopted shard's
+// stores with halo pulls from the survivors.
 // GRAPHDRIFT (live mutation + rebalancing).  The private graph is NOT
 // frozen at provisioning: update_graph applies edge/node deltas inside the
 // owning enclaves (sorted-row maintenance of each owned x closure
@@ -107,9 +104,13 @@ class ShardedVaultDeployment {
   ShardedVaultDeployment(const Dataset& ds, TrainedVault vault, ShardPlan plan,
                          ShardedDeploymentOptions opts = {});
 
-  /// Backbone + layer-synchronous sharded forward; fills every live shard's
-  /// label store.  Requires all shards alive (replicas cover reads, not
-  /// refreshes).  Serialized against itself and infer_labels.
+  /// Backbone + the frontier engine over every node, with every shard
+  /// retaining its label store and boundary activations.  Requires all
+  /// shards alive (replicas cover reads, not refreshes).  Serialized
+  /// against itself and infer_labels.  An enclave dying under a refresh
+  /// marks its shard dead and throws; the failure handler is NOT invoked
+  /// here (callers may hold control-plane locks the handler takes) — the
+  /// next cold query entry hands the recorded fault over outside the locks.
   void refresh(const CsrMatrix& features);
   bool refreshed() const { return refreshed_; }
 
@@ -368,14 +369,12 @@ class ShardedVaultDeployment {
     /// snapshot (cleared by adoption; restored by rematerialize_shard).
     std::atomic<bool> retained_valid{false};
     // Enclave-held state (only touched inside ecalls).  GV_SECRET marks
-    // everything adjacency- or label-derived; bb_rows stays unmarked — the
-    // backbone embeddings are public by the paper's threat model.
+    // everything adjacency- or label-derived; the staged backbone rows
+    // (Frontier::bb) stay unmarked — the backbone embeddings are public by
+    // the paper's threat model.
     ShardPayload payload;
     GV_SECRET std::shared_ptr<const CsrMatrix> sub_adj;  // owned x closure
     std::unique_ptr<Rectifier> rectifier;
-    std::vector<Matrix> bb_rows;    // closure rows per backbone layer index
-    GV_SECRET Matrix h_owned;   // current layer output (owned rows)
-    GV_SECRET Matrix h_closure; // assembled next-layer input (closure rows)
     GV_SECRET std::vector<std::uint32_t> labels;  // label store
     SealedBlob sealed;
     /// Union of halo_out[*] as owned-local row indices (sorted): the rows
@@ -404,8 +403,8 @@ class ShardedVaultDeployment {
     /// Boundary-row activations per rectifier layer 0..L-2, retained at
     /// refresh so cold halo pulls need no recompute (rows ~ boundary_rows).
     GV_SECRET std::vector<Matrix> retained;
-    /// Transient cold-query state (reset per query, inside ecalls).
-    struct Cold {
+    /// Transient frontier_forward state (reset per forward, inside ecalls).
+    struct Frontier {
       std::vector<std::vector<std::uint32_t>> out_rows;  // [layer] owned-local
       std::vector<std::vector<std::uint32_t>> in_cols;   // [layer] closure-local
       /// serve_live[k][t]: owned-local rows of layer k's output shard t
@@ -421,7 +420,7 @@ class ShardedVaultDeployment {
       /// the local coordinator), so peer-side halo-serve spans are
       /// genuinely channel-attributed.  0 = untraced.
       std::uint64_t query_id = 0;
-    } cold;
+    } frontier;
   };
 
   void provision_shard(Shard& shard, ShardPayload payload);
@@ -429,20 +428,25 @@ class ShardedVaultDeployment {
   /// ledger) from `shard.payload` inside `shard.enclave` — shared by initial
   /// provisioning and replica adoption.
   void install_payload(Shard& shard);
-  /// Regenerate sub_adj / payload.adj_* / boundary_rows / the rectifier
-  /// CSR / the sealed blob from the (mutated) adj_rows + closure arrays.
-  /// Must run inside an ecall on `shard.enclave`.
+  /// Regenerate payload.adj_* from the (mutated) adj_rows + closure arrays,
+  /// then the derived views and the sealed blob.  Must run inside an ecall
+  /// on `shard.enclave`.
   void rebuild_topology_locked(Shard& shard);
+  /// The views derived from payload.adj_* and the halo lists: sub_adj (and
+  /// the rectifier's copy of it), boundary_rows, the now void retained
+  /// activations, and their ledger entries.  Must run inside an ecall on
+  /// `shard.enclave`.
+  void rebuild_views_locked(Shard& shard);
   /// Dead-shard bookkeeping for a serving ecall that threw EnclaveFailure:
   /// marks the shard dead, counts the fault, and invokes the failure
   /// handler.  Callers MUST have released the shard's access_mu first —
   /// the handler may join a promotion that needs it exclusively.
   void on_enclave_failure(std::uint32_t shard);
-  /// Cold-path variant of the bookkeeping: marks the shard dead and counts
-  /// the fault, but only RECORDS it (pending_fault_) — the caller holds
-  /// infer_mu_, which the handler's promotion join would need via
-  /// adopt_shard.  The serving entry points invoke notify_pending_fault()
-  /// after releasing the lock.
+  /// frontier_forward's variant of the bookkeeping: marks the shard dead
+  /// and counts the fault, but only RECORDS it (pending_fault_) — the
+  /// caller holds infer_mu_, which the handler's promotion join would need
+  /// via adopt_shard.  The cold query entry points invoke
+  /// notify_pending_fault() after releasing the lock.
   template <typename F>
   auto cold_ecall(std::uint32_t shard, F&& body) -> decltype(body());
   void mark_cold_fault(std::uint32_t shard);
@@ -456,28 +460,36 @@ class ShardedVaultDeployment {
   /// neighbor pairs.  Caller holds infer_mu_.
   AttestedChannel& ensure_channel(std::uint32_t s, std::uint32_t t,
                                   std::size_t* created);
-  void stream_backbone_rows(const std::vector<Matrix>& outputs);
-  /// The oblivious streaming protocol shared by refresh and the cold path:
+  /// The oblivious streaming protocol of the engine's backbone staging:
   /// push the FULL matrix to `sh` in fixed-size chunks (the untrusted
   /// access pattern carries no row-selection information) and run
   /// `scatter(block, r0)` inside a per-chunk ecall — the enclave-side
   /// selection of which rows to keep stays inside the enclave.
   template <typename Scatter>
   void stream_full_matrix(Shard& sh, const Matrix& full, Scatter&& scatter);
-  /// What a cold forward installs into `retain_shard` on its way through.
-  enum class RetainMode {
-    kNone,      // plain query (stale store entries are still healed)
-    kFull,      // labels + boundary activations (`nodes` = full owned set)
-    kBoundary,  // boundary activations only (`nodes` = boundary rows)
+  /// The shards a frontier_forward re-installs durable stores into.  A
+  /// retaining shard keeps its boundary activations (the forward's rows
+  /// must cover boundary_rows) and, with `labels`, its label store (rows
+  /// must cover the whole owned set).  Empty = a plain query, which only
+  /// heals stale store entries it recomputes.
+  struct RetainSet {
+    std::vector<char> shards;  // [K], 1 = retain
+    bool labels = false;
   };
-  /// Shared cold forward (caller holds infer_mu_; `fingerprint` is
-  /// features_fingerprint(features), hashed once per entry point).
-  std::vector<std::uint32_t> cold_forward(const CsrMatrix& features,
-                                          std::uint64_t fingerprint,
-                                          std::span<const std::uint32_t> nodes,
-                                          ColdSubsetStats* stats,
-                                          std::uint32_t retain_shard,
-                                          RetainMode retain_mode);
+  /// The one sharded forward: walk `nodes`' frontier, stage the backbone,
+  /// compute layer by layer, install what `retain` asks for and return the
+  /// labels of `nodes` in query order.  `span` names the wrapper trace span
+  /// ("refresh" / "cold_forward").  Caller holds infer_mu_; `fingerprint`
+  /// is features_fingerprint(features), hashed once per entry point.
+  std::vector<std::uint32_t> frontier_forward(const char* span,
+                                              const CsrMatrix& features,
+                                              std::uint64_t fingerprint,
+                                              std::span<const std::uint32_t> nodes,
+                                              ColdSubsetStats* stats,
+                                              const RetainSet& retain);
+  /// rematerialize_shard (`labels`) / rebuild_boundary_retained body: the
+  /// engine over the shard's owned (or boundary) rows, retaining only it.
+  void retain_shard(std::uint32_t shard, const CsrMatrix& features, bool labels);
   /// Backbone outputs for `features`, reusing the cache when the
   /// fingerprint matches the last forward (caller holds infer_mu_).
   const std::vector<Matrix>& backbone_for(const CsrMatrix& features,

@@ -222,7 +222,10 @@ void ShardedVaultServer::update_features(const CsrMatrix& new_features) {
     replicas_->wait_ready();
     replicas_->sync_labels();
   }
-  frontend_.cache().invalidate_stale(new_features);
+  // After the refresh and the snapshot swap: a batch that started before
+  // this clear may pair old labels with new digests, so its puts are
+  // dropped (LabelCache generation); one that starts after it sees both.
+  frontend_.cache().clear();
   frontend_.metrics().record_feature_update();
 }
 

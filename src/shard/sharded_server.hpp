@@ -74,7 +74,8 @@ class ShardedVaultServer : private ServeBackend {
 
   /// New feature snapshot: joins any in-flight promotion, re-runs the
   /// sharded forward (all shards must be alive), re-ships replica label
-  /// stores, and evicts cache entries whose feature-row digest changed.
+  /// stores (re-replicating standbys whose package predates a migration or
+  /// graph update), and clears the label cache.
   void update_features(const CsrMatrix& new_features);
 
   /// GraphDrift: apply private-graph mutations WITHOUT a refresh.  The

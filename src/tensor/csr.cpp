@@ -12,9 +12,13 @@ CsrMatrix CsrMatrix::from_coo(std::size_t rows, std::size_t cols,
   for (const auto& e : entries) {
     GV_CHECK(e.row < rows && e.col < cols, "COO entry out of bounds");
   }
-  std::sort(entries.begin(), entries.end(), [](const CooEntry& a, const CooEntry& b) {
+  const auto row_major = [](const CooEntry& a, const CooEntry& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  };
+  // Slices of an existing CSR arrive row-major already.
+  if (!std::is_sorted(entries.begin(), entries.end(), row_major)) {
+    std::sort(entries.begin(), entries.end(), row_major);
+  }
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;

@@ -84,8 +84,8 @@ TEST(TraceGolden, FailoverColdQueryScenarioExportsValidDualClockTrace) {
   for (const auto& ev : events) names.insert(ev.name);
   for (const char* required :
        {"queue_wait", "batch_flush", "route_batch", "shard_lookup", "ecall",
-        "cold_forward", "cold_layer_compute", "cold_subset", "layer_compute",
-        "halo_send", "refresh", "promotion", "unseal", "adopt"}) {
+        "cold_forward", "cold_subset", "layer_compute", "halo_send", "refresh",
+        "promotion", "unseal", "adopt"}) {
     EXPECT_EQ(names.count(required), 1u) << "missing span: " << required;
   }
 

@@ -15,7 +15,7 @@ TEST(LabelCache, MissThenHit) {
   LabelCache cache(4);
   const auto d = digest_of("row0");
   EXPECT_FALSE(cache.get(0, d).has_value());
-  cache.put(0, d, 2);
+  cache.put(0, d, 2, /*generation=*/0);
   const auto hit = cache.get(0, d);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 2u);
@@ -23,7 +23,7 @@ TEST(LabelCache, MissThenHit) {
 
 TEST(LabelCache, DigestMismatchEvictsStaleEntry) {
   LabelCache cache(4);
-  cache.put(7, digest_of("old-features"), 1);
+  cache.put(7, digest_of("old-features"), 1, /*generation=*/0);
   EXPECT_FALSE(cache.get(7, digest_of("new-features")).has_value());
   // The stale entry is gone entirely, not just bypassed.
   EXPECT_EQ(cache.size(), 0u);
@@ -31,11 +31,11 @@ TEST(LabelCache, DigestMismatchEvictsStaleEntry) {
 
 TEST(LabelCache, EvictsLeastRecentlyUsed) {
   LabelCache cache(2);
-  cache.put(1, digest_of("a"), 0);
-  cache.put(2, digest_of("b"), 0);
+  cache.put(1, digest_of("a"), 0, /*generation=*/0);
+  cache.put(2, digest_of("b"), 0, /*generation=*/0);
   // Touch node 1 so node 2 becomes the LRU entry.
   EXPECT_TRUE(cache.get(1, digest_of("a")).has_value());
-  cache.put(3, digest_of("c"), 0);
+  cache.put(3, digest_of("c"), 0, /*generation=*/0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.get(1, digest_of("a")).has_value());
   EXPECT_FALSE(cache.get(2, digest_of("b")).has_value());
@@ -44,8 +44,8 @@ TEST(LabelCache, EvictsLeastRecentlyUsed) {
 
 TEST(LabelCache, UpdateExistingEntryKeepsSizeStable) {
   LabelCache cache(2);
-  cache.put(1, digest_of("a"), 0);
-  cache.put(1, digest_of("a2"), 5);
+  cache.put(1, digest_of("a"), 0, /*generation=*/0);
+  cache.put(1, digest_of("a2"), 5, /*generation=*/0);
   EXPECT_EQ(cache.size(), 1u);
   const auto hit = cache.get(1, digest_of("a2"));
   ASSERT_TRUE(hit.has_value());
@@ -55,7 +55,7 @@ TEST(LabelCache, UpdateExistingEntryKeepsSizeStable) {
 TEST(LabelCache, ZeroCapacityDisables) {
   LabelCache cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.put(0, digest_of("x"), 1);
+  cache.put(0, digest_of("x"), 1, /*generation=*/0);
   EXPECT_FALSE(cache.get(0, digest_of("x")).has_value());
   EXPECT_EQ(cache.size(), 0u);
 }

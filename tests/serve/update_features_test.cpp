@@ -1,5 +1,5 @@
 // Live-graph serving: update_features swaps the backbone snapshot and
-// invalidates cached labels by feature-row digest.
+// clears the label cache.
 #include <gtest/gtest.h>
 
 #include "serve/label_cache.hpp"
@@ -29,21 +29,22 @@ std::uint32_t nonempty_row(const CsrMatrix& features, std::uint32_t from) {
   throw Error("no nonempty feature row found");
 }
 
-TEST(LabelCache, InvalidateStaleEvictsOnlyChangedRows) {
+TEST(LabelCache, PutFromBeforeAClearIsDropped) {
   const Dataset ds = serve_dataset(55);
   LabelCache cache(16);
-  const std::uint32_t changed = nonempty_row(ds.features, 3);
-  const std::uint32_t untouched = nonempty_row(ds.features, changed + 1);
-  cache.put(changed, feature_row_digest(ds.features, changed), 0);
-  cache.put(untouched, feature_row_digest(ds.features, untouched), 1);
-
-  const CsrMatrix updated = scale_row(ds.features, changed, 2.0f);
-  EXPECT_EQ(cache.invalidate_stale(updated), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(
-      cache.get(changed, feature_row_digest(updated, changed)).has_value());
-  EXPECT_TRUE(
-      cache.get(untouched, feature_row_digest(updated, untouched)).has_value());
+  const std::uint32_t node = nonempty_row(ds.features, 3);
+  const Sha256Digest digest = feature_row_digest(ds.features, node);
+  // A batch reads the generation, then a feature update clears the cache
+  // while the batch is still computing against the old snapshot.
+  const std::uint64_t started = cache.generation();
+  cache.clear();
+  EXPECT_EQ(cache.generation(), started + 1);
+  cache.put(node, digest, 0, started);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.get(node, digest).has_value());
+  // A batch that started after the clear files its label as usual.
+  cache.put(node, digest, 1, cache.generation());
+  EXPECT_EQ(cache.get(node, digest), std::optional<std::uint32_t>(1));
 }
 
 TEST(VaultServer, UpdateFeaturesServesLabelsOfNewSnapshot) {
@@ -67,28 +68,39 @@ TEST(VaultServer, UpdateFeaturesServesLabelsOfNewSnapshot) {
   EXPECT_EQ(server.stats().feature_updates, 1u);
 }
 
-TEST(VaultServer, UpdateFeaturesInvalidatesChangedCacheEntriesOnly) {
+TEST(VaultServer, UpdateFeaturesInvalidatesNeighbourDependentCacheEntries) {
   const Dataset ds = serve_dataset(57);
   TrainedVault tv = serve_vault(ds);
+  const auto old_truth = tv.predict_rectified(ds.features);
   ServerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_wait = std::chrono::microseconds(500);
   cfg.cache_capacity = 64;
-  VaultServer server(ds, std::move(tv), {}, cfg);
+  VaultServer server(ds, tv, {}, cfg);
 
-  const std::uint32_t changed = nonempty_row(ds.features, 4);
-  const std::uint32_t untouched = nonempty_row(ds.features, changed + 1);
-  server.query(changed);
-  server.query(untouched);
-  const auto misses_before = server.stats().cache_misses;
+  // Find a node whose own feature row stays put while rescaling its
+  // neighbours' rows moves its label: the digest of its own row cannot see
+  // the change, so only dropping the entry keeps the served label exact.
+  const auto& g = ds.graph;
+  for (std::uint32_t v = 0; v < ds.num_nodes(); ++v) {
+    CsrMatrix mutated = ds.features;
+    auto& vals = mutated.mutable_values();
+    for (const std::uint32_t u : g.neighbors(v)) {
+      for (std::int64_t i = mutated.row_ptr()[u]; i < mutated.row_ptr()[u + 1]; ++i) {
+        vals[i] *= -4.0f;
+      }
+    }
+    if (feature_row_digest(mutated, v) != feature_row_digest(ds.features, v)) continue;
+    const auto new_truth = tv.predict_rectified(mutated);
+    if (new_truth[v] == old_truth[v]) continue;
 
-  server.update_features(scale_row(ds.features, changed, 3.0f));
-  // The untouched node still hits the cache; the changed node misses and
-  // recomputes against the new snapshot.
-  server.query(untouched);
-  EXPECT_EQ(server.stats().cache_misses, misses_before);
-  server.query(changed);
-  EXPECT_EQ(server.stats().cache_misses, misses_before + 1);
+    EXPECT_EQ(server.query(v), old_truth[v]);
+    EXPECT_EQ(server.query(v), old_truth[v]);  // now a cache hit
+    server.update_features(mutated);
+    EXPECT_EQ(server.query(v), new_truth[v]) << "node " << v;
+    return;
+  }
+  FAIL() << "no node whose label moves with its neighbours only";
 }
 
 TEST(VaultServer, QueuedRequestsResolveAgainstNewSnapshot) {

@@ -11,7 +11,9 @@
 //     (cold-start server) instead of failing;
 //   * incremental promotion re-materialization (rematerialize_shard) and a
 //     cold query racing a promotion: fence or consistent labels, never
-//     stale ones.
+//     stale ones;
+//   * refresh, rematerialize_shard and rebuild_boundary_retained leave the
+//     same retained stores behind for every scheme and shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -284,6 +286,57 @@ TEST(ColdSubset, RematerializeShardRebuildsOneStoreWithoutEpochBump) {
   CsrMatrix mutated = ds.features;
   for (auto& v : mutated.mutable_values()) v *= 0.5f;
   EXPECT_THROW(dep.rematerialize_shard(1, mutated), Error);
+}
+
+// Refresh, rematerialize_shard and rebuild_boundary_retained all run the one
+// frontier engine with different retain sets: the stores each leaves behind
+// must be the same bytes, and cold queries pulling from them stay exact.
+TEST(ColdSubset, RetainedStoresAgreeAcrossRefreshAndRematerialization) {
+  const Dataset ds = shard_dataset(69, 400);
+  for (const RectifierKind kind :
+       {RectifierKind::kParallel, RectifierKind::kCascaded, RectifierKind::kSeries}) {
+    TrainedVault tv = quick_vault(ds, kind);
+    for (const std::uint32_t K : {1u, 2u, 4u}) {
+      const std::string where =
+          rectifier_kind_name(kind) + " K=" + std::to_string(K);
+      ShardedVaultDeployment dep(ds, tv, ShardPlanner::plan(ds, tv, K));
+      // Replicated before the refresh, so the promotion below cannot
+      // warm-adopt and must re-materialize.
+      ReplicaManager replicas(dep);
+      replicas.replicate_all();
+      dep.refresh(ds.features);
+      auto retained_bytes = [&] {
+        std::vector<std::size_t> out;
+        for (std::uint32_t t = 0; t < K; ++t) {
+          out.push_back(dep.shard_enclave(t).memory().bytes("halo.retained"));
+        }
+        return out;
+      };
+      const auto after_refresh = retained_bytes();
+      if (K > 1) EXPECT_GT(after_refresh[0], 0u) << where;
+
+      const std::uint32_t s = K - 1;
+      dep.rematerialize_shard(s, ds.features);
+      EXPECT_EQ(retained_bytes(), after_refresh) << where;
+      dep.rebuild_boundary_retained(s, ds.features);
+      EXPECT_EQ(retained_bytes(), after_refresh) << where;
+      dep.kill_shard(s);
+      replicas.promote(s, [&] { dep.rematerialize_shard(s, ds.features); });
+      EXPECT_EQ(retained_bytes(), after_refresh) << where << " after promotion";
+      ASSERT_TRUE(dep.retained_valid(s)) << where;
+
+      // Warm cold queries over one shard's nodes: only that shard computes;
+      // every halo input comes from a peer's retained store.
+      for (const std::uint32_t owner : {s, (s + 1) % K}) {
+        const auto& q = dep.plan().shards[owner].nodes;
+        ColdSubsetStats st;
+        EXPECT_EQ(dep.infer_labels_subset_cold(ds.features, q, &st),
+                  tv.predict_rectified_subset(ds.features, q))
+            << where << " shard " << owner;
+        EXPECT_EQ(st.shards_computed, 1u) << where << " shard " << owner;
+      }
+    }
+  }
 }
 
 TEST(ColdSubset, StalePromotionUsesShardLocalForwardBitExactly) {

@@ -11,8 +11,9 @@
 //   * migration: plan-diff moves are bit-exact, audited (node transfers
 //     are the only adjacency-bearing payload kind; labels/packages never
 //     ride inter-shard channels), idempotent to replay, safe while racing
-//     concurrent routed queries and a promotion, and a standby whose
-//     package predates the topology refuses promotion;
+//     concurrent routed queries and a promotion, a standby whose package
+//     predates the topology refuses promotion, and the next feature update
+//     re-replicates it;
 //   * auto-restaff: two back-to-back failovers with no manual restaff();
 //   * dead-shard detection: an injected ecall failure triggers the same
 //     fence + promote path as an explicit kill_shard.
@@ -412,6 +413,42 @@ TEST(Migration, StalePackageRefusesPromotionFreshOnePromotes) {
   for (std::size_t i = 0; i < q.size(); ++i) {
     EXPECT_EQ(got[i], truth[q[i]]) << "node " << q[i];
   }
+}
+
+// A feature update after a migration re-ships the standbys WITHOUT a manual
+// replicate_all(): the label sync notices the package predates the live
+// topology and re-replicates it, so the next failover promotes and serves
+// the new snapshot exactly.
+TEST(Migration, UpdateFeaturesAfterMigrationNeedsNoManualReplication) {
+  const Dataset ds = shard_dataset(79);
+  TrainedVault tv = quick_vault(ds);
+  const ShardPlan plan = ShardPlanner::plan(ds, tv, 3);
+  ShardedServerConfig cfg;
+  cfg.server.max_batch = 4;
+  cfg.server.max_wait = std::chrono::microseconds(500);
+  cfg.server.cache_capacity = 0;
+  cfg.replicate = true;
+  ShardedVaultServer server(ds, tv, plan, {}, cfg);
+  server.replicas()->wait_ready();
+
+  const auto shard0 = plan.shards[0].nodes;
+  ASSERT_GT(shard0.size(), 4u);
+  MigrationExecutor exec(server.deployment());
+  ASSERT_EQ(exec.execute(std::vector<NodeMove>{{shard0[0], 0, 1}, {shard0[2], 0, 2}})
+                .moves_executed,
+            2u);
+
+  CsrMatrix mutated = ds.features;
+  for (auto& v : mutated.mutable_values()) v *= 0.5f;
+  const auto truth = tv.predict_rectified(mutated);
+  ASSERT_NO_THROW(server.update_features(mutated));
+
+  server.kill_shard(0);
+  const auto q = spread_queries(ds.num_nodes(), 23);
+  for (const auto v : q) EXPECT_EQ(server.query(v), truth[v]) << "node " << v;
+  server.join_promotion();
+  EXPECT_EQ(server.stats().promotions, 1u);
+  EXPECT_TRUE(server.deployment().shard_alive(0));
 }
 
 // Migration racing routed queries AND a promotion: per-move fences, the
