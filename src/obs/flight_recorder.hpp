@@ -30,11 +30,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "obs/timeseries.hpp"
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -86,15 +86,16 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
-  bool armed_ = false;
-  std::string dir_;
-  std::size_t max_spans_ = 512;
-  std::uint64_t seq_ = 0;
-  std::uint64_t trips_ = 0;
-  const TimeSeriesRing* ring_ = nullptr;
-  const void* topology_owner_ = nullptr;
-  std::function<std::string()> topology_;
+  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
+      gv::lockrank::kTelemetry};
+  bool armed_ GV_GUARDED_BY(mu_) = false;
+  std::string dir_ GV_GUARDED_BY(mu_);
+  std::size_t max_spans_ GV_GUARDED_BY(mu_) = 512;
+  std::uint64_t seq_ GV_GUARDED_BY(mu_) = 0;
+  std::uint64_t trips_ GV_GUARDED_BY(mu_) = 0;
+  const TimeSeriesRing* ring_ GV_GUARDED_BY(mu_) = nullptr;
+  const void* topology_owner_ GV_GUARDED_BY(mu_) = nullptr;
+  std::function<std::string()> topology_ GV_GUARDED_BY(mu_);
 };
 
 /// Validate that `json` parses as a flight-recorder bundle: syntactically

@@ -1,28 +1,11 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gv {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
 
 TimeSeriesRing::TimeSeriesRing(MetricsRegistry& registry, TimeSeriesConfig cfg)
     : registry_(&registry), cfg_(cfg) {
@@ -51,7 +34,7 @@ double TimeSeriesRing::HistogramWindow::percentile(double p) const {
 
 void TimeSeriesRing::sample(double now_seconds) {
   const RegistrySample cur = registry_->sample();
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   if (!started_) {
     // Baseline only: counters/histograms diff against this snapshot, and
@@ -162,13 +145,13 @@ void TimeSeriesRing::close_window_locked(double end_seconds,
 }
 
 std::size_t TimeSeriesRing::windows() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   return ring_.size();
 }
 
 TimeSeriesRing::Window TimeSeriesRing::window(std::size_t age) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   GV_CHECK(age < ring_.size(), "time-series window age out of range");
   return ring_[ring_.size() - 1 - age];
@@ -176,7 +159,7 @@ TimeSeriesRing::Window TimeSeriesRing::window(std::size_t age) const {
 
 double TimeSeriesRing::rate(const std::string& name, const MetricLabels& labels,
                             std::size_t age) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   if (age >= ring_.size()) return 0.0;
   const auto& w = ring_[ring_.size() - 1 - age];
@@ -187,7 +170,7 @@ double TimeSeriesRing::rate(const std::string& name, const MetricLabels& labels,
 std::uint64_t TimeSeriesRing::delta(const std::string& name,
                                     const MetricLabels& labels,
                                     std::size_t age) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   if (age >= ring_.size()) return 0;
   const auto& w = ring_[ring_.size() - 1 - age];
@@ -198,7 +181,7 @@ std::uint64_t TimeSeriesRing::delta(const std::string& name,
 std::uint64_t TimeSeriesRing::delta_over(const std::string& name,
                                          const MetricLabels& labels,
                                          std::size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   const std::string key = series_key(name, labels);
   std::uint64_t sum = 0;
@@ -212,28 +195,27 @@ std::uint64_t TimeSeriesRing::delta_over(const std::string& name,
 }
 
 std::string TimeSeriesRing::to_json(std::size_t max_windows) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
   std::string out = "{\"interval_seconds\": ";
-  append_number(out, cfg_.interval_seconds);
+  append_json_number(out, cfg_.interval_seconds);
   out += ", \"windows\": [";
   const std::size_t take = std::min(max_windows, ring_.size());
   for (std::size_t i = ring_.size() - take; i < ring_.size(); ++i) {
     const auto& w = ring_[i];
     if (i != ring_.size() - take) out += ", ";
     out += "{\"start_s\": ";
-    append_number(out, w.start_seconds);
+    append_json_number(out, w.start_seconds);
     out += ", \"end_s\": ";
-    append_number(out, w.end_seconds);
+    append_json_number(out, w.end_seconds);
     out += ", \"counters\": {";
     bool first = true;
     for (const auto& [key, cw] : w.counters) {
       if (!first) out += ", ";
       first = false;
-      out.push_back('"');
-      append_escaped(out, key);
-      out += "\": {\"delta\": " + std::to_string(cw.delta) + ", \"rate\": ";
-      append_number(out, cw.rate);
+      append_json_string(out, key);
+      out += ": {\"delta\": " + std::to_string(cw.delta) + ", \"rate\": ";
+      append_json_number(out, cw.rate);
       out += "}";
     }
     out += "}, \"gauges\": {";
@@ -241,14 +223,13 @@ std::string TimeSeriesRing::to_json(std::size_t max_windows) const {
     for (const auto& [key, gw] : w.gauges) {
       if (!first) out += ", ";
       first = false;
-      out.push_back('"');
-      append_escaped(out, key);
-      out += "\": {\"last\": ";
-      append_number(out, gw.last);
+      append_json_string(out, key);
+      out += ": {\"last\": ";
+      append_json_number(out, gw.last);
       out += ", \"min\": ";
-      append_number(out, gw.min);
+      append_json_number(out, gw.min);
       out += ", \"max\": ";
-      append_number(out, gw.max);
+      append_json_number(out, gw.max);
       out += "}";
     }
     out += "}, \"histograms\": {";
@@ -256,13 +237,12 @@ std::string TimeSeriesRing::to_json(std::size_t max_windows) const {
     for (const auto& [key, hw] : w.histograms) {
       if (!first) out += ", ";
       first = false;
-      out.push_back('"');
-      append_escaped(out, key);
-      out += "\": {\"count\": " + std::to_string(hw.count_delta) +
+      append_json_string(out, key);
+      out += ": {\"count\": " + std::to_string(hw.count_delta) +
              ", \"sum\": ";
-      append_number(out, hw.sum_delta);
+      append_json_number(out, hw.sum_delta);
       out += ", \"p99\": ";
-      append_number(out, hw.percentile(0.99));
+      append_json_number(out, hw.percentile(0.99));
       out += "}";
     }
     out += "}}";

@@ -25,13 +25,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -117,17 +117,19 @@ class TimeSeriesRing {
     std::uint64_t samples = 0;
   };
 
-  void close_window_locked(double end_seconds, const RegistrySample& cur);
+  void close_window_locked(double end_seconds, const RegistrySample& cur)
+      GV_REQUIRES(mu_);
 
   MetricsRegistry* registry_;
   TimeSeriesConfig cfg_;
 
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
-  bool started_ = false;
-  double cur_start_ = 0.0;
-  RegistrySample baseline_;
-  std::map<std::string, GaugePartial> gauge_partial_;
-  std::deque<Window> ring_;  // back = newest closed
+  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
+      gv::lockrank::kTelemetry};
+  bool started_ GV_GUARDED_BY(mu_) = false;
+  double cur_start_ GV_GUARDED_BY(mu_) = 0.0;
+  RegistrySample baseline_ GV_GUARDED_BY(mu_);
+  std::map<std::string, GaugePartial> gauge_partial_ GV_GUARDED_BY(mu_);
+  std::deque<Window> ring_ GV_GUARDED_BY(mu_);  // back = newest closed
 };
 
 }  // namespace gv

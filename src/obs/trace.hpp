@@ -36,13 +36,13 @@
 #include <cstring>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "obs/query_trace.hpp"
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -155,9 +155,12 @@ class TraceRecorder {
 
  private:
   struct ThreadBuffer {
-    mutable std::mutex mu GV_LOCK_RANK(gv::lockrank::kTelemetry);
-    std::vector<TraceEvent> ring;  // grows to kRingCapacity, then wraps
-    std::uint64_t appended = 0;    // lifetime count; write head = % capacity
+    mutable Mutex mu GV_LOCK_RANK(gv::lockrank::kTelemetry){
+        gv::lockrank::kTelemetry};
+    // grows to kRingCapacity, then wraps
+    std::vector<TraceEvent> ring GV_GUARDED_BY(mu);
+    // lifetime count; write head = % capacity
+    std::uint64_t appended GV_GUARDED_BY(mu) = 0;
     std::uint32_t tid = 0;
   };
 
@@ -166,13 +169,15 @@ class TraceRecorder {
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex registry_mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  mutable Mutex registry_mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
+      gv::lockrank::kTelemetry};
+  std::vector<std::shared_ptr<ThreadBuffer>> buffers_
+      GV_GUARDED_BY(registry_mu_);
   std::atomic<std::uint64_t> dropped_{0};
   /// Interned names: node-based so c_str() pointers stay stable, and never
   /// cleared — clear() drops events, but an interned pointer may still be
   /// held by a live emitter (an Enclave's cached category).
-  std::set<std::string> interned_;
+  std::set<std::string> interned_ GV_GUARDED_BY(registry_mu_);
 };
 
 /// RAII span emitter.  Construction samples the enabled flag once; every

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gv {
 namespace {
@@ -81,6 +82,24 @@ TEST(Table, FmtRoundsToPrecision) {
 TEST(Table, PctConvertsFractionToPercent) {
   EXPECT_EQ(Table::pct(0.804), "80.4");
   EXPECT_EQ(Table::pct(1.0), "100.0");
+}
+
+TEST(Table, JsonEmitsOnlyValidNumbersBare) {
+  // Cells that strtod accepts but JSON does not ("01", "1.") used to be
+  // emitted as bare tokens, making the whole document invalid.
+  Table t("t\x01");
+  t.set_header({"a", "b", "c", "d", "e"});
+  t.add_row({"12", "-0.5e3", "01", "1.", "x\"y"});
+  std::string err;
+  const auto doc = parse_json(t.to_json(), &err);
+  ASSERT_TRUE(doc) << err << "\n" << t.to_json();
+  EXPECT_EQ(doc->find("title", JsonValue::Type::kString)->str, "t\x01");
+  const JsonValue& row = doc->find("rows", JsonValue::Type::kArray)->array[0];
+  EXPECT_EQ(row.find("a", JsonValue::Type::kNumber)->number, 12.0);
+  EXPECT_EQ(row.find("b", JsonValue::Type::kNumber)->number, -500.0);
+  EXPECT_EQ(row.find("c", JsonValue::Type::kString)->str, "01");
+  EXPECT_EQ(row.find("d", JsonValue::Type::kString)->str, "1.");
+  EXPECT_EQ(row.find("e", JsonValue::Type::kString)->str, "x\"y");
 }
 
 TEST(Table, RowCountTracksAdds) {

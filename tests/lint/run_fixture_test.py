@@ -33,7 +33,7 @@ def lint(fixture: str) -> dict:
         proc = subprocess.run(
             [sys.executable, DRIVER, "--files",
              os.path.join(FIXTURES, fixture),
-             "--frontend", "fallback", "--quiet", "--json", artifact],
+             "--quiet", "--json", artifact],
             capture_output=True, text=True)
         with open(artifact, encoding="utf-8") as f:
             report = json.load(f)

@@ -158,6 +158,41 @@ TEST(FlightBundleValidator, RejectsMalformedDocuments) {
       &err));
 }
 
+TEST(FlightRecorder, ValidatorDecodesStringEscapes) {
+  // Regression: this reader used to push the escape LETTER ("\n" decoded
+  // to 'n') and drop \u payloads, so a real bundle whose schema tag is
+  // spelled with an escape was rejected.
+  const fs::path dir = fs::path(::testing::TempDir()) / "gv_flight_escapes";
+  fs::remove_all(dir);
+  auto& fr = FlightRecorder::instance();
+  fr.configure(dir.string(), 16);
+  const std::string path = fr.trip(FaultKind::kManual, -1,
+                                   "quo\"te\\back\nline\x01" "ctl");
+  fr.disarm();
+  ASSERT_FALSE(path.empty());
+  std::string doc = slurp(path);
+  fs::remove_all(dir);
+  std::string err;
+  EXPECT_TRUE(validate_flight_bundle(doc, &err)) << err;
+  const std::string plain = "\"gnnvault.flight_recorder.v1\"";
+  const auto pos = doc.find(plain);
+  ASSERT_NE(pos, std::string::npos);
+  const std::string escaped =
+      "\"\\u0067nnvault.flight_recorder.v1\"";  // \u0067 == 'g'
+  doc.replace(pos, plain.size(), escaped);
+  EXPECT_TRUE(validate_flight_bundle(doc, &err)) << err;
+  // An escaped newline in the schema tag must decode to a newline, not 'n'.
+  std::string newline = doc;
+  newline.replace(newline.find(escaped), escaped.size(),
+                  "\"gnnvault.flight_recorder.v1\\n\"");
+  EXPECT_FALSE(validate_flight_bundle(newline, &err));
+  // An invalid escape must not validate.
+  std::string bad = doc;
+  bad.replace(bad.find(escaped), escaped.size(),
+              "\"\\qnnvault.flight_recorder.v1\"");
+  EXPECT_FALSE(validate_flight_bundle(bad, &err));
+}
+
 TEST(FlightBundleValidator, AcceptsAMinimalHandWrittenBundle) {
   std::string err;
   EXPECT_TRUE(validate_flight_bundle(

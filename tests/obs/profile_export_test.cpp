@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/engine_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tenant_ledger.hpp"
@@ -182,6 +183,56 @@ TEST(OpsReport, ValidatorDecodesStringEscapes) {
   const std::string report = ops_report();
   EXPECT_TRUE(validate_ops_report(report, &err)) << err;
   ledger.unregister(&owner);
+}
+
+TEST(OpsReport, ControlCharacterLabelsStayValidJson) {
+  // Regression: the metrics and time-series writers escaped only '"' and
+  // '\\', so a tenant named "line\nbreak" (the registry admits any
+  // non-empty name, and TenantLedger::publish files it as a `tenant` label)
+  // put a raw newline inside a JSON string, and the lenient reader accepted
+  // it.
+  const std::string tenant = "line\nbreak";
+  auto& ledger = TenantLedger::global();
+  int owner = 0;
+  ledger.register_provider(&owner, tenant, [] {
+    TenantUsage u;
+    u.ecalls = 3;
+    return u;
+  });
+  ledger.publish(MetricsRegistry::global());
+  const std::string report = ops_report();
+  ledger.unregister(&owner);
+
+  // A raw control byte spliced into a string must not validate.
+  const std::string name = "\"tenant.ecalls\"";
+  const auto at = report.find(name);
+  ASSERT_NE(at, std::string::npos);
+  std::string spliced = report;
+  spliced.insert(at + 1, 1, '\x01');
+  std::string err;
+  EXPECT_FALSE(validate_ops_report(spliced, &err));
+
+  // The writer escapes the newline, and the published label round-trips.
+  EXPECT_EQ(report.find(tenant), std::string::npos);
+  ASSERT_TRUE(validate_ops_report(report, &err)) << err;
+  const auto doc = parse_json(report, &err);
+  ASSERT_TRUE(doc) << err;
+  bool found = false;
+  for (const JsonValue& g : doc->find("metrics", JsonValue::Type::kObject)
+                                ->find("gauges", JsonValue::Type::kArray)
+                                ->array) {
+    const JsonValue* labels = g.find("labels", JsonValue::Type::kObject);
+    const JsonValue* label =
+        labels != nullptr ? labels->find("tenant", JsonValue::Type::kString)
+                          : nullptr;
+    if (label == nullptr || label->str != tenant ||
+        g.find("name", JsonValue::Type::kString)->str != "tenant.ecalls") {
+      continue;
+    }
+    found = true;
+    EXPECT_EQ(g.find("value", JsonValue::Type::kNumber)->number, 3.0);
+  }
+  EXPECT_TRUE(found) << "no tenant.ecalls gauge labelled with the tenant";
 }
 
 TEST(OpsReport, FilesRoundTripThroughDisk) {

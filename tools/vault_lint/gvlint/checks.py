@@ -1,11 +1,10 @@
 """The five VaultLint checks, implemented over the token stream.
 
-This is the fallback frontend's analysis core (and the engine CI pins):
-deterministic, zero-dependency, and honest about being a lexer-level
-approximation — every heuristic it relies on is a repo-wide convention
-(member names end in ``_``, guards are std lock adapters or gv::MutexLock,
-annotations sit adjacent to the declared name).  The libclang frontend
-(clang_frontend.py) re-derives the same facts from the AST when available.
+This is VaultLint's only analysis engine: deterministic, zero-dependency,
+and honest about being a lexer-level approximation — every heuristic it
+relies on is a repo-wide convention (member names end in ``_``, guards are
+std lock adapters or gv::MutexLock, annotations sit adjacent to the
+declared name).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Minimal C++ lexer for the VaultLint fallback frontend.
+"""Minimal C++ lexer for VaultLint.
 
 Produces a flat token stream with line numbers.  Comments are dropped,
 string/char literals are kept as single tokens (the suppression check needs

@@ -1,4 +1,4 @@
-"""Finding model + suppression bookkeeping shared by both frontends."""
+"""Finding model + suppression bookkeeping."""
 
 from __future__ import annotations
 

@@ -7,10 +7,10 @@ lock-rank, and suppression hygiene.  See docs/static_analysis.md.
 
 Typical invocations:
 
-    # CI gate: whole tree, deterministic token frontend, fail on findings
+    # CI gate: whole tree, fail on findings
     python3 tools/vault_lint/vault_lint.py \
         --compile-commands build/compile_commands.json \
-        --include src --frontend fallback --json lint_findings.json
+        --include src --json lint_findings.json
 
     # Fixture / single-file mode
     python3 tools/vault_lint/vault_lint.py --files tests/lint/fixtures/bad_lock_rank.cpp
@@ -24,15 +24,12 @@ import argparse
 import glob
 import json
 import os
-import shlex
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from gvlint import CHECKS  # noqa: E402
-from gvlint import clang_frontend  # noqa: E402
 from gvlint.checks import Analysis  # noqa: E402
-from gvlint.model import FileReport  # noqa: E402
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -46,10 +43,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                         "headers beneath it are linted too")
     p.add_argument("--json", dest="json_out",
                    help="write the findings artifact to this path")
-    p.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                   default="auto",
-                   help="auto: libclang when importable, else the built-in "
-                        "token engine; CI pins 'fallback' for determinism")
     p.add_argument("--rank-table", default=None,
                    help="header declaring the gv::lockrank constants "
                         "(default: <repo-root>/src/common/annotations.hpp)")
@@ -63,8 +56,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return p.parse_args(argv)
 
 
-def collect_files(args: argparse.Namespace, root: str) -> tuple[list[str], dict]:
-    compile_args: dict[str, list[str]] = {}
+def collect_files(args: argparse.Namespace, root: str) -> list[str]:
     files: list[str] = []
     if args.files:
         files = [os.path.abspath(f) for f in args.files]
@@ -77,13 +69,8 @@ def collect_files(args: argparse.Namespace, root: str) -> tuple[list[str], dict]
                   file=sys.stderr)
             sys.exit(2)
         for entry in db:
-            path = os.path.abspath(
-                os.path.join(entry.get("directory", "."), entry["file"]))
-            files.append(path)
-            if "arguments" in entry:
-                compile_args[path] = entry["arguments"][1:]
-            elif "command" in entry:
-                compile_args[path] = shlex.split(entry["command"])[1:]
+            files.append(os.path.abspath(
+                os.path.join(entry.get("directory", "."), entry["file"])))
     else:
         print("vault_lint: need --compile-commands or --files", file=sys.stderr)
         sys.exit(2)
@@ -97,14 +84,14 @@ def collect_files(args: argparse.Namespace, root: str) -> tuple[list[str], dict]
                 for pat in ("**/*.hpp", "**/*.h"):
                     files.extend(os.path.abspath(h) for h in
                                  glob.glob(os.path.join(p, pat), recursive=True))
-    return sorted(set(files)), compile_args
+    return sorted(set(files))
 
 
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     root = os.path.abspath(args.repo_root or
                            os.path.join(os.path.dirname(__file__), "..", ".."))
-    files, compile_args = collect_files(args, root)
+    files = collect_files(args, root)
     if not files:
         print("vault_lint: no files to lint", file=sys.stderr)
         return 2
@@ -114,29 +101,7 @@ def main(argv: list[str]) -> int:
     if not os.path.exists(rank_table):
         rank_table = None
 
-    frontend = args.frontend
-    if frontend == "clang" and not clang_frontend.available():
-        print("vault_lint: --frontend clang requested but clang.cindex / "
-              "libclang is not available", file=sys.stderr)
-        return 2
-    if frontend == "auto":
-        frontend = "clang" if clang_frontend.available() else "fallback"
-
-    analysis = Analysis(files, rank_table_file=rank_table)
-    reports = analysis.run()
-
-    if frontend == "clang":
-        # The AST engine owns the two semantic checks; token engine keeps the
-        # structural three.  Suppressions (token-collected) cover both.
-        ast_reports = {r.path: r for r in
-                       clang_frontend.analyze(files, compile_args)}
-        for r in reports:
-            r.findings = [f for f in r.findings
-                          if f.check not in ("ecall-abi", "secret-egress")]
-            ast = ast_reports.get(r.path)
-            if ast:
-                r.findings.extend(ast.findings)
-            r.apply_suppressions()
+    reports = Analysis(files, rank_table_file=rank_table).run()
 
     findings = []
     suppressed = []
@@ -158,14 +123,13 @@ def main(argv: list[str]) -> int:
                   f"({f.suppress_reason})")
     by_check = {c: sum(1 for f in findings if f.check == c) for c in CHECKS}
     tally = ", ".join(f"{c}={n}" for c, n in by_check.items() if n)
-    print(f"vault_lint[{frontend}]: {len(files)} files, "
+    print(f"vault_lint: {len(files)} files, "
           f"{len(findings)} finding(s)"
           + (f" [{tally}]" if tally else "")
           + (f", {len(suppressed)} suppressed" if suppressed else ""))
 
     if args.json_out:
         artifact = {
-            "frontend": frontend,
             "files": len(files),
             "findings": [dict(f.to_dict(), file=rel(f.file))
                          for f in sorted(findings, key=lambda f: (f.file, f.line))],
