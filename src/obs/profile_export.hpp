@@ -24,8 +24,9 @@
 //                      bundles can attach it from inside trip().
 //
 // validate_folded()/validate_ops_report() are independent of the writers
-// (flight-recorder idiom: a fresh mini-parser, so a writer bug cannot
-// validate its own output); CI re-checks both artifacts with stock Python.
+// (validate_ops_report is a schema check over the strict common/json.hpp
+// reader, which shares no code with the writer helpers); CI re-checks both
+// artifacts with stock Python.
 #pragma once
 
 #include <string>
