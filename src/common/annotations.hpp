@@ -22,9 +22,10 @@
 //                   enclave boundary by value, i.e. would be EDL-marshaled
 //                   in a real SGX port) must be trivially copyable with no
 //                   host pointers/references.
-//   lock-rank       nested lock_guard/unique_lock/shared_lock/MutexLock
-//                   acquisitions must respect the GV_LOCK_RANK declared on
-//                   the mutex members (monotone non-decreasing).
+//   lock-rank       nested MutexLock/ReaderLock acquisitions must respect
+//                   the gv::lockrank rank each gv::Mutex / gv::SharedMutex
+//                   declaration states (monotone non-decreasing), and every
+//                   guarded mutex's rank must be resolvable.
 //   suppression     GV_LINT_ALLOW must name a known check and carry a
 //                   non-empty reason.
 //
@@ -35,7 +36,6 @@
 // byte-identical with or without them.
 #pragma once
 
-#include <cstddef>
 
 #if defined(__clang__)
 #define GV_ANNOTATE(text) __attribute__((annotate(text)))
@@ -66,13 +66,6 @@
 /// trivially copyable with no host pointers or references.
 #define GV_ECALL_ABI GV_ANNOTATE("gv::ecall_abi")
 
-/// Declares the acquisition rank of a mutex member.  vault_lint's
-/// lock-rank check flags any lexically nested acquisition whose rank is
-/// LOWER than a rank already held; the runtime validator (below) asserts
-/// the same invariant across function boundaries in sanitizer builds.
-/// Use the gv::lockrank constants so the ordering lives in one table.
-#define GV_LOCK_RANK(rank) GV_ANNOTATE("gv::lock_rank=" #rank)
-
 /// Suppress one vault_lint finding, with a reason.  Applies to the line it
 /// appears on and the line immediately below (so it can sit above the
 /// offending statement) or, inside a class body, to the member declared on
@@ -81,99 +74,3 @@
 #define GV_LINT_ALLOW(check, reason)                                       \
   static_assert(sizeof(check) > 1 && sizeof(reason) > 1,                   \
                 "GV_LINT_ALLOW needs a check name and a non-empty reason")
-
-// --- Lock-rank map ----------------------------------------------------------
-//
-// Ranks must be acquired in non-decreasing order on any one thread.  Equal
-// ranks are allowed to nest (distinct instances of a per-shard / per-replica
-// mutex, or sequential ecalls into DIFFERENT enclaves); acquiring a rank
-// strictly below the top of the held stack is an inversion.  The map, from
-// outermost (control plane) to innermost (leaf telemetry):
-namespace gv::lockrank {
-inline constexpr int kRegistry = 10;       // VaultRegistry::mu_
-inline constexpr int kServerControl = 20;  // ShardedVaultServer::promotion_mu_
-inline constexpr int kReplicate = 24;      // ReplicaManager::replicate_mu_
-inline constexpr int kServerState = 28;    // server drift_mu_ (health tracker)
-inline constexpr int kReplicaSlot = 32;    // Replica::mu, promote_mu_ (held
-                                           // across deployment sends / adopt,
-                                           // so BELOW kDeployment)
-inline constexpr int kDeployment = 40;     // ShardedVaultDeployment::infer_mu_
-inline constexpr int kShardAccess = 44;    // Shard::access_mu (shared)
-inline constexpr int kMoveFence = 52;      // move_mu_ / owner_mu_ / handler_mu_
-inline constexpr int kServerSnap = 56;     // server snap_mu_ (feature snapshot;
-                                           // a leaf the update_graph
-                                           // before-unfence hook takes while
-                                           // the deployment holds kDeployment)
-inline constexpr int kEnclaveEntry = 60;   // Enclave::entry_mu_ (TCS)
-inline constexpr int kEnclaveMeter = 64;   // Enclave::meter_mu_
-inline constexpr int kChannel = 70;        // AttestedChannel / OneWayChannel /
-                                           // MemoryLedger mutexes
-inline constexpr int kQueue = 80;          // MicroBatchQueue::mu_, LabelCache
-                                           // (serving-path leaves)
-inline constexpr int kJobQueue = 82;       // JobSystem per-worker deques + idle
-                                           // signal; ServeFrontEnd batch pool
-                                           // (posted to while kQueue-held code
-                                           // has already released, but ABOVE
-                                           // kQueue so a post under a serving
-                                           // leaf would still be legal)
-inline constexpr int kTokenState = 84;     // SubmitToken shared state + pool
-                                           // (resolved from job workers after
-                                           // every other serving lock is
-                                           // dropped)
-inline constexpr int kTelemetry = 90;      // metrics / trace / flight recorder /
-                                           // router + server stats mutexes
-
-/// Stable name of a rank constant ("kRegistry", ...), or "unranked" for any
-/// value not in the table.  EngineScope's lock-contention profiler labels
-/// its `lock.wait_seconds{rank}` histograms with these, so the dynamic
-/// contention picture lines up with the static rank table above.
-const char* lock_rank_name(int rank);
-}  // namespace gv::lockrank
-
-// --- Runtime lock-rank validator -------------------------------------------
-//
-// The static check sees one function body at a time; the runtime validator
-// sees the whole call stack.  GV_RANK_SCOPE(rank) placed immediately after
-// a lock acquisition pushes the rank onto a thread-local stack and asserts
-// monotone (non-strict) acquisition; the scope pops it on exit, mirroring
-// the guard's lifetime.  Compiled into sanitizer builds via the CMake
-// option GV_VALIDATE_LOCK_RANKS (-DGV_LOCK_RANK_VALIDATE=1); in normal
-// builds the macro costs nothing but still constant-checks its argument.
-namespace gv::lint {
-
-/// Called on an inversion: `held` is the top of the thread's rank stack,
-/// `acquiring` the offending rank, `what` the stringized rank expression.
-/// The default handler prints both and aborts; tests install a counter.
-using RankViolationHandler = void (*)(int held, int acquiring,
-                                      const char* what);
-RankViolationHandler set_rank_violation_handler(RankViolationHandler h);
-
-class RankScope {
- public:
-  explicit RankScope(int rank, const char* what = "");
-  ~RankScope();
-
-  RankScope(const RankScope&) = delete;
-  RankScope& operator=(const RankScope&) = delete;
-
-  /// Depth of the calling thread's held-rank stack (tests).
-  static std::size_t held_depth();
-  /// Top of the calling thread's held-rank stack, or -1 when empty.
-  static int top_rank();
-
- private:
-  int rank_;
-};
-
-}  // namespace gv::lint
-
-#define GV_LINT_CONCAT_INNER(a, b) a##b
-#define GV_LINT_CONCAT(a, b) GV_LINT_CONCAT_INNER(a, b)
-
-#if defined(GV_LOCK_RANK_VALIDATE)
-#define GV_RANK_SCOPE(rank) \
-  ::gv::lint::RankScope GV_LINT_CONCAT(gv_rank_scope_, __LINE__) { (rank), #rank }
-#else
-#define GV_RANK_SCOPE(rank) \
-  static_assert((rank) >= 0, "lock ranks are non-negative")
-#endif

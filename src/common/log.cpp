@@ -4,14 +4,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include "common/annotations.hpp"
+
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
-std::mutex g_mutex GV_LOCK_RANK(gv::lockrank::kTelemetry);
+Mutex g_mutex{gv::lockrank::kTelemetry};
 
 LogLevel level_from_env() {
   const char* env = std::getenv("GNNVAULT_LOG");
@@ -45,8 +45,7 @@ void set_log_level(LogLevel level) { g_level.store(level); }
 
 void log_line(LogLevel level, const std::string& msg) {
   if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(g_mutex);
   std::fprintf(stderr, "[gnnvault %s] %s\n", level_tag(level), msg.c_str());
 }
 

@@ -1,28 +1,31 @@
-// Clang Thread Safety Analysis capability macros + annotated mutex wrappers.
+// Rank-carrying mutex types with clang Thread Safety Analysis annotations.
 //
 // libstdc++'s std::mutex carries no capability attribute, so clang's
-// -Wthread-safety cannot reason about it directly.  gv::Mutex wraps it with
-// the capability annotations, gv::MutexLock is the annotated scoped guard,
-// and gv::CondVar is a condition_variable_any that waits directly on a
-// gv::Mutex.  On GCC (and on clang with the analysis off) everything
-// compiles to exactly the std:: equivalents — the wrappers are header-only
-// forwarding shims.
+// -Wthread-safety cannot reason about it directly.  gv::Mutex and
+// gv::SharedMutex wrap the std:: types with the capability annotations,
+// gv::MutexLock / gv::ReaderLock are the annotated scoped guards, and
+// gv::CondVar waits directly on a gv::Mutex.  Every mutex states its
+// gv::lockrank rank once, where it is declared (there is no default
+// constructor), and tools/vault_lint reads it from there:
 //
-// Usage:
-//   gv::Mutex mu_;
+//   gv::Mutex mu_{gv::lockrank::kQueue};
 //   std::vector<T> items_ GV_GUARDED_BY(mu_);
 //   void drain_locked() GV_REQUIRES(mu_);
 //
 // CI builds the tree with clang and -Werror=thread-safety; see
 // docs/static_analysis.md.
 //
-// EngineScope contention profiler: a gv::Mutex optionally carries its
-// lock-rank at runtime (pass the gv::lockrank constant to the constructor,
-// next to the GV_LOCK_RANK annotation that carries it statically).  When
-// the profiler is enabled — GNNVAULT_LOCKPROF=1 at first use, or
-// lockprof::set_enabled(true) — lock() takes a try_lock fast path and, on
-// contention, times the blocking wait and records it into the global
-// MetricsRegistry as `lock.wait_seconds{rank}` plus a
+// Runtime lock-rank validator (CMake GV_VALIDATE_LOCK_RANKS, which defines
+// GV_LOCK_RANK_VALIDATE): lock() checks the rank against the highest rank
+// the thread holds BEFORE blocking, so an inversion is reported instead of
+// deadlocking; unlock() forgets the most recent entry with that rank, so
+// out-of-LIFO unlocks and CondVar waits stay balanced.  Default builds
+// compile it out.
+//
+// EngineScope contention profiler: when enabled — GNNVAULT_LOCKPROF=1 at
+// first use, or lockprof::set_enabled(true) — lock() takes a try_lock fast
+// path and, on contention, times the blocking wait and records it into the
+// global MetricsRegistry as `lock.wait_seconds{rank}` plus a
 // `lock.contended{rank}` counter, keyed by gv::lockrank::lock_rank_name.
 // Disabled (the default), the probe is ONE relaxed atomic load per lock()
 // and writes nothing anywhere; bench/obs_overhead.cpp pins the enabled
@@ -33,8 +36,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define GV_TSA(x) __attribute__((x))
@@ -49,11 +54,97 @@
 #define GV_REQUIRES(...) GV_TSA(requires_capability(__VA_ARGS__))
 #define GV_REQUIRES_SHARED(...) GV_TSA(requires_shared_capability(__VA_ARGS__))
 #define GV_ACQUIRE(...) GV_TSA(acquire_capability(__VA_ARGS__))
+#define GV_ACQUIRE_SHARED(...) GV_TSA(acquire_shared_capability(__VA_ARGS__))
 #define GV_RELEASE(...) GV_TSA(release_capability(__VA_ARGS__))
-#define GV_TRY_ACQUIRE(...) GV_TSA(try_acquire_capability(__VA_ARGS__))
+#define GV_RELEASE_SHARED(...) GV_TSA(release_shared_capability(__VA_ARGS__))
 #define GV_EXCLUDES(...) GV_TSA(locks_excluded(__VA_ARGS__))
-#define GV_RETURN_CAPABILITY(x) GV_TSA(lock_returned(x))
 #define GV_NO_THREAD_SAFETY_ANALYSIS GV_TSA(no_thread_safety_analysis)
+
+// --- Lock-rank map ----------------------------------------------------------
+//
+// Ranks must be acquired in non-decreasing order on any one thread.  Equal
+// ranks are allowed to nest (distinct instances of a per-shard / per-replica
+// mutex, or sequential ecalls into DIFFERENT enclaves); acquiring a rank
+// strictly below the highest rank held is an inversion.  The map, from
+// outermost (control plane) to innermost (leaf telemetry):
+namespace gv::lockrank {
+inline constexpr int kRegistry = 10;       // VaultRegistry::mu_
+inline constexpr int kServerControl = 20;  // ShardedVaultServer::promotion_mu_
+inline constexpr int kReplicate = 24;      // ReplicaManager::replicate_mu_
+inline constexpr int kServerState = 28;    // server drift_mu_ (health tracker)
+inline constexpr int kReplicaSlot = 32;    // Replica::mu, promote_mu_ (held
+                                           // across deployment sends / adopt,
+                                           // so BELOW kDeployment)
+inline constexpr int kDeployment = 40;     // VaultDeployment /
+                                           // ShardedVaultDeployment infer_mu_
+inline constexpr int kShardAccess = 44;    // Shard::access_mu (shared)
+inline constexpr int kMoveFence = 52;      // move_mu_ / owner_mu_ / handler_mu_
+inline constexpr int kServerSnap = 56;     // server snap_mu_ (feature snapshot;
+                                           // a leaf the update_graph
+                                           // before-unfence hook takes while
+                                           // the deployment holds kDeployment)
+inline constexpr int kEnclaveEntry = 60;   // Enclave::entry_mu_ (TCS)
+inline constexpr int kEnclaveMeter = 64;   // Enclave::meter_mu_
+inline constexpr int kChannel = 70;        // AttestedChannel / OneWayChannel /
+                                           // MemoryLedger mutexes
+inline constexpr int kProbe = 76;          // EngineProbe live-probe set and
+                                           // pull_mu_ (pull() reads the
+                                           // kQueue..kTelemetry engine locks
+                                           // while holding them)
+inline constexpr int kQueue = 80;          // MicroBatchQueue::mu_, LabelCache
+                                           // (serving-path leaves)
+inline constexpr int kJobQueue = 82;       // JobSystem per-worker deques + idle
+                                           // signal; ServeFrontEnd batch pool
+                                           // (posted to while kQueue-held code
+                                           // has already released, but ABOVE
+                                           // kQueue so a post under a serving
+                                           // leaf would still be legal)
+inline constexpr int kTokenState = 84;     // SubmitToken shared state + pool
+                                           // (resolved from job workers after
+                                           // every other serving lock is
+                                           // dropped)
+inline constexpr int kTelemetry = 90;      // metrics / trace / flight recorder /
+                                           // log / router + server stats
+
+/// Stable name of a rank constant ("kRegistry", ...), or "unknown" for any
+/// value not in the table.  The contention profiler labels its
+/// `lock.wait_seconds{rank}` histograms with these, so the dynamic
+/// contention picture lines up with the static rank table above.
+const char* lock_rank_name(int rank);
+
+// --- Runtime validator hooks ------------------------------------------------
+
+/// Called on an inversion: `held` is the highest rank the thread holds,
+/// `acquiring` the offending rank.  The default handler prints both and
+/// aborts; tests install a counter.  Returns the previous handler.
+using ViolationHandler = void (*)(int held, int acquiring);
+ViolationHandler set_violation_handler(ViolationHandler h);
+
+/// Capacity of each thread's held-rank stack: a fixed array, so the
+/// validator never allocates.
+inline constexpr std::size_t kMaxHeld = 64;
+
+/// Reports `rank` to the handler if it is below the highest rank the
+/// calling thread holds, then records it as held.  gv mutexes call this
+/// before blocking in validated builds.
+void note_lock(int rank);
+/// Forgets the calling thread's most recent held entry with `rank`.
+void note_unlock(int rank);
+
+/// Number of entries in the calling thread's held-rank stack.
+std::size_t held_depth();
+/// Highest rank the calling thread holds, or -1 when it holds none.
+int top_rank();
+
+#if defined(GV_LOCK_RANK_VALIDATE)
+inline void validate_lock(int rank) { note_lock(rank); }
+inline void validate_unlock(int rank) { note_unlock(rank); }
+#else
+inline void validate_lock(int) {}
+inline void validate_unlock(int) {}
+#endif
+
+}  // namespace gv::lockrank
 
 namespace gv {
 
@@ -85,62 +176,93 @@ std::uint64_t contended_acquisitions();
 
 }  // namespace lockprof
 
-/// std::mutex with clang capability annotations.  Also a BasicLockable, so
-/// std::unique_lock<gv::Mutex> and gv::CondVar::wait work unchanged.
-class GV_CAPABILITY("mutex") Mutex {
+/// A std:: mutex with its lock rank and clang capability annotations:
+/// gv::Mutex over std::mutex, gv::SharedMutex over std::shared_mutex (which
+/// adds the shared side).  Both sides share the rank validator and the
+/// contention profiler.  Also a BasicLockable, so gv::CondVar::wait works
+/// on a gv::Mutex directly.
+template <typename StdMutex>
+class GV_CAPABILITY("mutex") RankedMutex {
  public:
-  Mutex() = default;
-  /// Rank-carrying form: pass the same gv::lockrank constant the member's
-  /// GV_LOCK_RANK annotation names, so contended waits land in the right
-  /// `lock.wait_seconds{rank}` histogram.
-  explicit Mutex(int rank) : rank_(rank) {}
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
+  /// `rank` is a gv::lockrank constant.  constexpr, so a namespace-scope
+  /// mutex is constant-initialized and usable during static initialization.
+  constexpr explicit RankedMutex(int rank) : rank_(rank) {}
 
   void lock() GV_ACQUIRE() {
+    lockrank::validate_lock(rank_);
     if (lockprof::enabled()) {
       profiled_lock();
       return;
     }
     mu_.lock();
   }
-  void unlock() GV_RELEASE() { mu_.unlock(); }
-  bool try_lock() GV_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  int rank() const { return rank_; }
-
-  /// Escape hatch for APIs that need the raw handle; using it bypasses the
-  /// analysis AND the contention probe, so prefer MutexLock / CondVar.
-  std::mutex& native() GV_RETURN_CAPABILITY(this) { return mu_; }
+  void unlock() GV_RELEASE() {
+    lockrank::validate_unlock(rank_);
+    mu_.unlock();
+  }
+  void lock_shared() GV_ACQUIRE_SHARED() {
+    lockrank::validate_lock(rank_);
+    if (lockprof::enabled()) {
+      profiled_lock_shared();
+      return;
+    }
+    mu_.lock_shared();
+  }
+  void unlock_shared() GV_RELEASE_SHARED() {
+    lockrank::validate_unlock(rank_);
+    mu_.unlock_shared();
+  }
 
  private:
   /// try_lock fast path; on contention, time the blocking wait and record
-  /// it under this mutex's rank.  Out of line: the disabled hot path stays
-  /// a load + call-free mu_.lock().
+  /// it under this mutex's rank.  Out of line (thread_safety.cpp): the
+  /// disabled hot path stays a load + call-free mu_.lock().
   void profiled_lock();
+  void profiled_lock_shared();
 
-  std::mutex mu_;
-  int rank_ = -1;
+  StdMutex mu_;
+  const int rank_;
 };
+using Mutex = RankedMutex<std::mutex>;
+using SharedMutex = RankedMutex<std::shared_mutex>;
 
-/// Annotated scoped guard (std::lock_guard shape, TSA-visible release).
+/// Annotated exclusive scoped guard over a gv::Mutex or the writer side of
+/// a gv::SharedMutex (std::lock_guard shape, TSA-visible release).
+template <typename M>
 class GV_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) GV_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  explicit MutexLock(M& mu) GV_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
   ~MutexLock() GV_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
-  Mutex& mu_;
+  M& mu_;
+};
+
+/// Annotated shared scoped guard over a gv::SharedMutex.
+class GV_SCOPED_CAPABILITY ReaderLock {
+ public:
+  explicit ReaderLock(SharedMutex& mu) GV_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_.lock_shared();
+  }
+  ~ReaderLock() GV_RELEASE() { mu_.unlock_shared(); }
+
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+
+ private:
+  SharedMutex& mu_;
 };
 
 /// Condition variable waiting directly on a gv::Mutex.  Built on
-/// condition_variable_any (which takes any BasicLockable); the wait methods
-/// require the capability, matching how callers already hold the lock.
-/// The bodies carry GV_NO_THREAD_SAFETY_ANALYSIS because the analysis
-/// cannot see through condition_variable_any's internal unlock/relock.
+/// condition_variable_any (which takes any BasicLockable), so a wait
+/// releases and retakes the mutex through Mutex::unlock()/lock() and the
+/// rank validator sees both; the wait methods require the capability,
+/// matching how callers already hold the lock.  The bodies carry
+/// GV_NO_THREAD_SAFETY_ANALYSIS because the analysis cannot see through
+/// condition_variable_any's internal unlock/relock.
 class CondVar {
  public:
   void notify_one() { cv_.notify_one(); }
@@ -150,24 +272,12 @@ class CondVar {
     cv_.wait(mu);
   }
 
-  template <typename Pred>
-  void wait(Mutex& mu, Pred pred) GV_REQUIRES(mu) GV_NO_THREAD_SAFETY_ANALYSIS {
-    cv_.wait(mu, std::move(pred));
-  }
-
   template <typename Clock, typename Duration>
   std::cv_status wait_until(Mutex& mu,
                             const std::chrono::time_point<Clock, Duration>&
                                 deadline) GV_REQUIRES(mu)
       GV_NO_THREAD_SAFETY_ANALYSIS {
     return cv_.wait_until(mu, deadline);
-  }
-
-  template <typename Clock, typename Duration, typename Pred>
-  bool wait_until(Mutex& mu,
-                  const std::chrono::time_point<Clock, Duration>& deadline,
-                  Pred pred) GV_REQUIRES(mu) GV_NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_until(mu, deadline, std::move(pred));
   }
 
   template <typename Rep, typename Period, typename Pred>

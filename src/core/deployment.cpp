@@ -78,8 +78,7 @@ std::vector<std::uint32_t> VaultDeployment::infer_labels_batched(
 std::vector<std::uint32_t> VaultDeployment::secure_infer(
     const std::vector<Matrix>& outputs, const std::span<const std::uint32_t>* nodes) {
   if (nodes != nullptr && nodes->empty()) return {};
-  std::lock_guard<std::mutex> infer_lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock infer_lock(*infer_mu_);
 
   // --- 2. Only the required embeddings cross the one-way channel. The FULL
   // matrices cross even for subset queries: restricting the transfer to the

@@ -13,13 +13,12 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "sgxsim/channel.hpp"
 #include "sgxsim/enclave.hpp"
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -98,8 +97,8 @@ class VaultDeployment {
   OneWayChannel channel_;
   /// Serializes the push-then-ecall pair so concurrent server workers cannot
   /// interleave their staged blocks (owned via pointer to stay movable).
-  std::unique_ptr<std::mutex> infer_mu_ GV_LOCK_RANK(gv::lockrank::kDeployment) =
-      std::make_unique<std::mutex>();
+  std::unique_ptr<Mutex> infer_mu_ =
+      std::make_unique<Mutex>(gv::lockrank::kDeployment);
   // Enclave-held state (only touched inside ecalls).
   CooAdjacency private_coo_;
   std::shared_ptr<const CsrMatrix> private_adj_csr_;

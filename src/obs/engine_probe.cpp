@@ -1,6 +1,5 @@
 #include "obs/engine_probe.hpp"
 
-#include <mutex>
 #include <sstream>
 
 #include "common/json.hpp"
@@ -14,13 +13,11 @@ namespace {
 constexpr const char* kLaneNames[kNumJobClasses] = {"interactive", "cold",
                                                     "maintenance"};
 
-// Process-wide live-probe set for pull_all()/engines_json().  A plain
-// std::mutex (outside the rank table) ordered strictly before any probe
-// mutex; never taken from engine code.
-std::mutex& probes_mu() {
-  static std::mutex mu;
-  return mu;
-}
+// Process-wide live-probe set for pull_all()/engines_json().  kProbe, like
+// each probe's pull_mu_, so pull() may take the engine locks under it;
+// never taken from engine code.  Constant-initialized, so probes built
+// during static initialization find it ready.
+constinit Mutex probes_mu{lockrank::kProbe};
 std::vector<EngineProbe*>& probes() {
   static std::vector<EngineProbe*> v;
   return v;
@@ -30,12 +27,12 @@ std::vector<EngineProbe*>& probes() {
 
 EngineProbe::EngineProbe(MetricsRegistry& reg, const std::string& engine)
     : reg_(reg), engine_(engine) {
-  std::lock_guard<std::mutex> lock(probes_mu());
+  MutexLock lock(probes_mu);
   probes().push_back(this);
 }
 
 EngineProbe::~EngineProbe() {
-  std::lock_guard<std::mutex> lock(probes_mu());
+  MutexLock lock(probes_mu);
   auto& v = probes();
   for (auto it = v.begin(); it != v.end(); ++it) {
     if (*it == this) {
@@ -50,9 +47,8 @@ void EngineProbe::attach(const JobSystem* jobs, const TokenPool* tokens,
   // Taking pull_mu_ (not just mu_) makes attach a barrier against pull():
   // once attach(nullptr, ...) returns, no pull is still reading the old
   // engine objects, so the caller may safely destroy them.
-  std::lock_guard<std::mutex> pull_lock(pull_mu_);
+  MutexLock pull_lock(pull_mu_);
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   jobs_ = jobs;
   tokens_ = tokens;
   queue_ = queue;
@@ -105,7 +101,6 @@ void EngineProbe::publish_token_pool(std::size_t capacity,
                                      std::size_t free_count,
                                      std::size_t chunks) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   resolve_scalars_locked();
   tokens_capacity_->set(static_cast<double>(capacity));
   tokens_free_->set(static_cast<double>(free_count));
@@ -116,7 +111,6 @@ void EngineProbe::publish_token_pool(std::size_t capacity,
 void EngineProbe::add_arena_delta(double retained_bytes, double blocks,
                                   double high_water_bytes) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   resolve_scalars_locked();
   if (retained_bytes != 0.0) arena_retained_->add(retained_bytes);
   if (blocks != 0.0) arena_blocks_->add(blocks);
@@ -129,7 +123,7 @@ void EngineProbe::pull() {
   // underflowing the unsigned deltas fed to the monotone counters.
   // Holding pull_mu_ across the engine-state reads also lets attach()
   // synchronize teardown (see attach()).
-  std::lock_guard<std::mutex> pull_lock(pull_mu_);
+  MutexLock pull_lock(pull_mu_);
   // Gather engine state BEFORE taking mu_: the accessors below acquire
   // kJobQueue/kTokenState/kQueue locks, all of which rank below the probe's
   // kTelemetry mutex.
@@ -138,7 +132,6 @@ void EngineProbe::pull() {
   const MicroBatchQueue* queue = nullptr;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     jobs = jobs_;
     tokens = tokens_;
     queue = queue_;
@@ -167,7 +160,6 @@ void EngineProbe::pull() {
   }
 
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   resolve_scalars_locked();
 
   std::uint64_t exec_total[kNumJobClasses] = {0, 0, 0};
@@ -245,22 +237,20 @@ void EngineProbe::pull() {
 std::string EngineProbe::snapshot_json() {
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     if (!snapshot_.empty()) return snapshot_;
   }
   pull();
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return snapshot_;
 }
 
 void EngineProbe::pull_all() {
-  std::lock_guard<std::mutex> lock(probes_mu());
+  MutexLock lock(probes_mu);
   for (EngineProbe* p : probes()) p->pull();
 }
 
 std::string EngineProbe::engines_json(bool live) {
-  std::lock_guard<std::mutex> lock(probes_mu());
+  MutexLock lock(probes_mu);
   std::string out = "[";
   bool first = true;
   for (EngineProbe* p : probes()) {
@@ -268,7 +258,6 @@ std::string EngineProbe::engines_json(bool live) {
     first = false;
     if (live) p->pull();
     MutexLock plock(p->mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     out += p->snapshot_.empty() ? std::string("{}") : p->snapshot_;
   }
   out += "]";

@@ -32,11 +32,9 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 #include "obs/metrics.hpp"
 #include "serve/job_system.hpp"
@@ -110,13 +108,12 @@ class EngineProbe {
   /// pulls could otherwise fold an older snapshot after a newer one and
   /// underflow the unsigned counter deltas.  attach() also takes it, so a
   /// detach (front-end teardown) blocks until any in-flight pull has
-  /// finished reading the engine objects.  Plain std::mutex outside the
-  /// rank table, ordered before the engine locks and mu_ (and after the
-  /// process-wide probes mutex pull_all() holds).
-  std::mutex pull_mu_;
+  /// finished reading the engine objects.  kProbe: ordered before the
+  /// engine locks and mu_, equal to the process-wide probes mutex
+  /// pull_all() holds.
+  Mutex pull_mu_{gv::lockrank::kProbe};
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   const JobSystem* jobs_ GV_GUARDED_BY(mu_) = nullptr;
   const TokenPool* tokens_ GV_GUARDED_BY(mu_) = nullptr;
   const MicroBatchQueue* queue_ GV_GUARDED_BY(mu_) = nullptr;

@@ -38,7 +38,6 @@ void FlightRecorder::configure(const std::string& dir, std::size_t max_spans) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   armed_ = true;
   dir_ = dir;
   max_spans_ = max_spans;
@@ -46,33 +45,28 @@ void FlightRecorder::configure(const std::string& dir, std::size_t max_spans) {
 
 void FlightRecorder::disarm() {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   armed_ = false;
 }
 
 bool FlightRecorder::armed() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return armed_;
 }
 
 void FlightRecorder::attach_timeseries(const TimeSeriesRing* ring) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   ring_ = ring;
 }
 
 void FlightRecorder::set_topology_provider(
     const void* owner, std::function<std::string()> provider) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   topology_owner_ = owner;
   topology_ = std::move(provider);
 }
 
 void FlightRecorder::clear_topology_provider(const void* owner) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (topology_owner_ != owner) return;
   topology_owner_ = nullptr;
   topology_ = nullptr;
@@ -80,19 +74,26 @@ void FlightRecorder::clear_topology_provider(const void* owner) {
 
 std::uint64_t FlightRecorder::trips() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return trips_;
 }
 
 std::string FlightRecorder::trip(FaultKind kind, int shard,
                                  const std::string& detail) {
+  {
+    MutexLock lock(mu_);
+    ++trips_;
+    MetricsRegistry::global()
+        .counter("flight.trips",
+                 MetricLabels::of("kind", fault_kind_name(kind)))
+        .add(1);
+    if (!armed_) return "";
+  }
+  // EngineScope ops snapshot (cached ledger + last-pulled engine probes),
+  // taken BEFORE mu_: it reads the live-probe set under kProbe, which ranks
+  // below this recorder's kTelemetry mutex.
+  const std::string ops = ops_report_cached();
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
-  ++trips_;
-  MetricsRegistry::global()
-      .counter("flight.trips", MetricLabels::of("kind", fault_kind_name(kind)))
-      .add(1);
-  if (!armed_) return "";
+  if (!armed_) return "";  // disarmed while the snapshot was taken
 
   auto& rec = TraceRecorder::instance();
   std::string out = "{\"schema\": \"gnnvault.flight_recorder.v1\"";
@@ -134,9 +135,7 @@ std::string FlightRecorder::trip(FaultKind kind, int shard,
   out += "]";
 
   out += ", \"metrics\": " + MetricsRegistry::global().to_json();
-  // EngineScope ops snapshot (cached ledger + last-pulled engine probes):
-  // leaf-lock-only, so it is safe under the fault-path locks trip() allows.
-  out += ", \"ops\": " + ops_report_cached();
+  out += ", \"ops\": " + ops;
   out += ", \"timeseries\": ";
   out += ring_ != nullptr ? ring_->to_json() : std::string("null");
   out += ", \"topology\": ";

@@ -25,7 +25,9 @@
 // replicate_mu_), so everything it calls — trace snapshot, registry
 // to_json, ring to_json, topology provider — must only take its own leaf
 // locks.  Topology providers in particular must read atomics / lock-free
-// state, never re-enter the control plane.
+// state, never re-enter the control plane.  The ops snapshot is the one
+// part taken before the recorder's own kTelemetry mutex, since it reads
+// the kProbe live-probe set.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@
 #include <string>
 
 #include "obs/timeseries.hpp"
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -86,8 +87,7 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   bool armed_ GV_GUARDED_BY(mu_) = false;
   std::string dir_ GV_GUARDED_BY(mu_);
   std::size_t max_spans_ GV_GUARDED_BY(mu_) = 512;

@@ -125,7 +125,6 @@ MetricsRegistry& MetricsRegistry::global() {
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const MetricLabels& labels) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   const Key key{name, labels.canonical()};
   auto& slot = counters_[key];
   if (!slot) slot = std::make_unique<Counter>();
@@ -136,7 +135,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
 Gauge& MetricsRegistry::gauge(const std::string& name,
                               const MetricLabels& labels) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   const Key key{name, labels.canonical()};
   auto& slot = gauges_[key];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -147,7 +145,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const MetricLabels& labels) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   const Key key{name, labels.canonical()};
   auto& slot = histograms_[key];
   if (!slot) slot = std::make_unique<Histogram>();
@@ -157,7 +154,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 RegistrySample MetricsRegistry::sample() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   RegistrySample s;
   s.counters.reserve(counters_.size());
   for (const auto& [key, c] : counters_) {
@@ -176,13 +172,11 @@ RegistrySample MetricsRegistry::sample() const {
 
 std::size_t MetricsRegistry::size() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 void MetricsRegistry::reset() {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   for (auto& [k, c] : counters_) c->reset();
   for (auto& [k, g] : gauges_) g->reset();
   for (auto& [k, h] : histograms_) h->reset();
@@ -212,7 +206,6 @@ void append_labels(std::string& out,
 
 std::string MetricsRegistry::to_json() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   std::string out = "{\"counters\": [";
   bool first = true;
   for (const auto& [key, c] : counters_) {

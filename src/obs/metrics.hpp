@@ -26,12 +26,10 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -186,8 +184,7 @@ class MetricsRegistry {
   template <typename T>
   using InstrumentMap = std::map<Key, std::unique_ptr<T>>;
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   InstrumentMap<Counter> counters_ GV_GUARDED_BY(mu_);
   InstrumentMap<Gauge> gauges_ GV_GUARDED_BY(mu_);
   InstrumentMap<Histogram> histograms_ GV_GUARDED_BY(mu_);

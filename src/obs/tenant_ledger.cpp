@@ -48,7 +48,6 @@ TenantLedger& TenantLedger::global() {
 void TenantLedger::register_provider(const void* owner, std::string tenant,
                                      Provider fn) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   for (auto& e : entries_) {
     if (e->owner == owner) {
       while (e->pins > 0) call_done_cv_.wait(mu_);
@@ -66,7 +65,6 @@ void TenantLedger::register_provider(const void* owner, std::string tenant,
 
 void TenantLedger::unregister(const void* owner) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if ((*it)->owner != owner) continue;
     // Snapshots may be mid-call into this entry's provider with the lock
@@ -81,19 +79,17 @@ void TenantLedger::unregister(const void* owner) {
 void TenantLedger::set_epc_bytes(const std::string& tenant,
                                  std::uint64_t bytes) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   epc_bytes_[tenant] = bytes;
 }
 
 void TenantLedger::clear_epc_bytes(const std::string& tenant) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   epc_bytes_.erase(tenant);
 }
 
 std::vector<std::pair<std::string, TenantUsage>> TenantLedger::snapshot() {
   // Merge map built outside the lock; each provider is called with the
-  // ledger mutex (and its rank scope) fully RELEASED — providers read
+  // ledger mutex fully RELEASED — providers read
   // server state whose locks rank below kTelemetry.
   std::map<std::string, TenantUsage> rows;
   std::size_t i = 0;
@@ -103,7 +99,6 @@ std::vector<std::pair<std::string, TenantUsage>> TenantLedger::snapshot() {
     std::string tenant;
     {
       MutexLock lock(mu_);
-      GV_RANK_SCOPE(lockrank::kTelemetry);
       if (i < entries_.size()) {
         e = entries_[i].get();
         ++e->pins;  // pins the entry: unregister blocks until 0
@@ -116,7 +111,6 @@ std::vector<std::pair<std::string, TenantUsage>> TenantLedger::snapshot() {
     rows[tenant] += usage;
     {
       MutexLock lock(mu_);
-      GV_RANK_SCOPE(lockrank::kTelemetry);
       if (--e->pins == 0) call_done_cv_.notify_all();
       // entries_ may have shifted while unlocked; continue after `e`'s
       // current slot (the pin guarantees it is still present).
@@ -131,7 +125,6 @@ std::vector<std::pair<std::string, TenantUsage>> TenantLedger::snapshot() {
   }
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     for (const auto& [tenant, bytes] : epc_bytes_) {
       rows[tenant].epc_resident_bytes += bytes;
     }
@@ -143,7 +136,6 @@ std::vector<std::pair<std::string, TenantUsage>> TenantLedger::snapshot() {
   for (const auto& [tenant, usage] : out) fleet += usage;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     cached_ = render_json_locked(out, fleet);
   }
   return out;
@@ -179,13 +171,11 @@ std::string TenantLedger::render_json_locked(
 std::string TenantLedger::to_json() {
   snapshot();
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return cached_;
 }
 
 std::string TenantLedger::cached_json() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (!cached_.empty()) return cached_;
   return "{\"schema\":\"gnnvault.tenant_ledger.v1\",\"tenants\":[],"
          "\"fleet\":{\"modeled_seconds\":0,\"ecalls\":0,\"batches\":0,"
@@ -236,7 +226,6 @@ void TenantLedger::publish(MetricsRegistry& reg) {
 
 std::size_t TenantLedger::num_providers() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return entries_.size();
 }
 

@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -120,8 +119,7 @@ class TenantLedger {
       const std::vector<std::pair<std::string, TenantUsage>>& rows,
       const TenantUsage& fleet) GV_REQUIRES(mu_);
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   CondVar call_done_cv_;
   std::vector<std::unique_ptr<Entry>> entries_ GV_GUARDED_BY(mu_);
   std::map<std::string, std::uint64_t> epc_bytes_ GV_GUARDED_BY(mu_);

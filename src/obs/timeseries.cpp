@@ -35,7 +35,6 @@ double TimeSeriesRing::HistogramWindow::percentile(double p) const {
 void TimeSeriesRing::sample(double now_seconds) {
   const RegistrySample cur = registry_->sample();
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (!started_) {
     // Baseline only: counters/histograms diff against this snapshot, and
     // gauge observation starts with the NEXT sample — folding the opening
@@ -146,13 +145,11 @@ void TimeSeriesRing::close_window_locked(double end_seconds,
 
 std::size_t TimeSeriesRing::windows() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return ring_.size();
 }
 
 TimeSeriesRing::Window TimeSeriesRing::window(std::size_t age) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   GV_CHECK(age < ring_.size(), "time-series window age out of range");
   return ring_[ring_.size() - 1 - age];
 }
@@ -160,7 +157,6 @@ TimeSeriesRing::Window TimeSeriesRing::window(std::size_t age) const {
 double TimeSeriesRing::rate(const std::string& name, const MetricLabels& labels,
                             std::size_t age) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (age >= ring_.size()) return 0.0;
   const auto& w = ring_[ring_.size() - 1 - age];
   const auto it = w.counters.find(series_key(name, labels));
@@ -171,7 +167,6 @@ std::uint64_t TimeSeriesRing::delta(const std::string& name,
                                     const MetricLabels& labels,
                                     std::size_t age) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (age >= ring_.size()) return 0;
   const auto& w = ring_[ring_.size() - 1 - age];
   const auto it = w.counters.find(series_key(name, labels));
@@ -182,7 +177,6 @@ std::uint64_t TimeSeriesRing::delta_over(const std::string& name,
                                          const MetricLabels& labels,
                                          std::size_t n) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   const std::string key = series_key(name, labels);
   std::uint64_t sum = 0;
   const std::size_t take = std::min(n, ring_.size());
@@ -196,7 +190,6 @@ std::uint64_t TimeSeriesRing::delta_over(const std::string& name,
 
 std::string TimeSeriesRing::to_json(std::size_t max_windows) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   std::string out = "{\"interval_seconds\": ";
   append_json_number(out, cfg_.interval_seconds);
   out += ", \"windows\": [";

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -123,8 +122,7 @@ class TimeSeriesRing {
   MetricsRegistry* registry_;
   TimeSeriesConfig cfg_;
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   bool started_ GV_GUARDED_BY(mu_) = false;
   double cur_start_ GV_GUARDED_BY(mu_) = 0.0;
   RegistrySample baseline_ GV_GUARDED_BY(mu_);

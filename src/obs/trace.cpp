@@ -28,7 +28,6 @@ TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
   if (!buffer) {
     buffer = std::make_shared<ThreadBuffer>();
     MutexLock lock(registry_mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     buffer->tid = static_cast<std::uint32_t>(buffers_.size());
     buffers_.push_back(buffer);
   }
@@ -40,7 +39,6 @@ void TraceRecorder::append(const TraceEvent& ev) {
   // The buffer's mutex is only ever contended by a snapshotting exporter;
   // for the owning thread this is an uncontended lock (tens of ns).
   MutexLock lock(buf.mu);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   if (buf.ring.size() < kRingCapacity) {
     buf.ring.push_back(ev);
   } else {
@@ -89,13 +87,11 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   {
     MutexLock lock(registry_mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     buffers = buffers_;
   }
   std::vector<TraceEvent> out;
   for (const auto& buf : buffers) {
     MutexLock lock(buf->mu);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     // Oldest-first: after a wrap the head of the ring is the write cursor.
     const std::size_t n = buf->ring.size();
     const std::size_t head = buf->appended >= kRingCapacity
@@ -119,10 +115,8 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
 
 void TraceRecorder::clear() {
   MutexLock lock(registry_mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   for (const auto& buf : buffers_) {
     MutexLock b(buf->mu);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
     buf->ring.clear();
     buf->appended = 0;
   }
@@ -131,13 +125,11 @@ void TraceRecorder::clear() {
 
 std::size_t TraceRecorder::num_threads() const {
   MutexLock lock(registry_mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return buffers_.size();
 }
 
 const char* TraceRecorder::intern(const std::string& s) {
   MutexLock lock(registry_mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
   return interned_.insert(s).first->c_str();
 }
 

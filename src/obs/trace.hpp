@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "obs/query_trace.hpp"
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -155,8 +154,7 @@ class TraceRecorder {
 
  private:
   struct ThreadBuffer {
-    mutable Mutex mu GV_LOCK_RANK(gv::lockrank::kTelemetry){
-        gv::lockrank::kTelemetry};
+    mutable Mutex mu{gv::lockrank::kTelemetry};
     // grows to kRingCapacity, then wraps
     std::vector<TraceEvent> ring GV_GUARDED_BY(mu);
     // lifetime count; write head = % capacity
@@ -169,8 +167,7 @@ class TraceRecorder {
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  mutable Mutex registry_mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry){
-      gv::lockrank::kTelemetry};
+  mutable Mutex registry_mu_{gv::lockrank::kTelemetry};
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_
       GV_GUARDED_BY(registry_mu_);
   std::atomic<std::uint64_t> dropped_{0};

@@ -77,7 +77,6 @@ bool MicroBatchQueue::submit(std::uint32_t node, const Sha256Digest& digest,
   bool coalesced = false;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kQueue);
     GV_CHECK(!stopping_, "queue is shutting down");
     coalesced = submit_locked(node, digest, waiter);
   }
@@ -96,7 +95,6 @@ std::size_t MicroBatchQueue::submit_many(
     // The whole client batch rides ONE lock acquisition — the old front
     // ends paid one lock round-trip (and one wake) per node.
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kQueue);
     GV_CHECK(!stopping_, "queue is shutting down");
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (submit_locked(nodes[i], digests[i], waiters[i])) ++coalesced;
@@ -110,7 +108,6 @@ bool MicroBatchQueue::next_batch(Batch* out) {
   out->count = 0;
   if (out->entries.size() < max_batch_) out->entries.resize(max_batch_);
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   for (;;) {
     // Explicit wait loop (not the predicate overload) so every access to
     // the guarded queue state stays inside this REQUIRES-checked body.
@@ -168,7 +165,6 @@ bool MicroBatchQueue::next_batch(Batch* out) {
 void MicroBatchQueue::flush() {
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kQueue);
     if (size_ == 0) return;
     flush_requested_ = true;
   }
@@ -179,7 +175,6 @@ void MicroBatchQueue::stop() {
   std::vector<TokenState*> orphans;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kQueue);
     if (stopping_) return;
     stopping_ = true;
     for (std::uint32_t idx = head_; idx != kNone;) {
@@ -203,31 +198,26 @@ void MicroBatchQueue::stop() {
 
 std::size_t MicroBatchQueue::pending() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   return size_;
 }
 
 std::size_t MicroBatchQueue::depth_high_water() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   return depth_hw_;
 }
 
 std::size_t MicroBatchQueue::slot_capacity() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   return slots_.size();
 }
 
 std::size_t MicroBatchQueue::free_slots() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   return free_slot_count_;
 }
 
 std::size_t MicroBatchQueue::index_size() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
   return index_.size();
 }
 

@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/arena.hpp"
 #include "common/thread_safety.hpp"
 #include "serve/submit_token.hpp"
@@ -128,7 +127,7 @@ class MicroBatchQueue {
   const std::size_t max_batch_;
   const std::chrono::microseconds max_wait_;
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kQueue){gv::lockrank::kQueue};
+  mutable Mutex mu_{gv::lockrank::kQueue};
   CondVar cv_;
   /// Stable slot slab; grows during warm-up only (index-addressed, so
   /// vector reallocation is safe).

@@ -76,7 +76,6 @@ void JobSystem::post(JobClass cls, std::function<void()> run,
   {
     Worker& w = *workers_[target];
     MutexLock lock(w.mu);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     // Checked under the deque lock: stop() flips accepting_ BEFORE sweeping
     // each deque under this same lock, so a post that lands after the sweep
     // is guaranteed to observe accepting_ == false here.
@@ -127,7 +126,11 @@ bool JobSystem::pop_runnable(Worker& w, bool steal, Job* out,
       }
     }
     *out = steal ? lane.pop_back() : lane.pop_front();
-    queued_total_.fetch_sub(1, std::memory_order_relaxed);
+    // Count the job as running BEFORE it stops counting as queued: the
+    // release pairs with drain_idle()'s acquire, so it never reads both
+    // totals as 0 while a popped job is still to run.
+    running_total_.fetch_add(1, std::memory_order_relaxed);
+    queued_total_.fetch_sub(1, std::memory_order_release);
     return true;
   }
   return false;
@@ -140,7 +143,6 @@ bool JobSystem::try_run_one(std::size_t self) {
   bool found = false;
   {
     MutexLock lock(me.mu);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     found = pop_runnable(me, /*steal=*/false, &job, &reserved);
   }
   if (found) {
@@ -160,7 +162,6 @@ bool JobSystem::try_run_one(std::size_t self) {
     Worker& victim = *workers_[v];
     {
       MutexLock lock(victim.mu);
-      GV_RANK_SCOPE(lockrank::kJobQueue);
       found = pop_runnable(victim, /*steal=*/true, &job, &reserved);
     }
     if (found) {
@@ -174,7 +175,7 @@ bool JobSystem::try_run_one(std::size_t self) {
 }
 
 void JobSystem::execute(Job job, bool reserved_maint, Worker& me) {
-  running_total_.fetch_add(1, std::memory_order_relaxed);
+  // pop_runnable() already counted the job in running_total_.
   try {
     if (job.run) job.run();
   } catch (...) {
@@ -184,10 +185,12 @@ void JobSystem::execute(Job job, bool reserved_maint, Worker& me) {
   if (reserved_maint) {
     maintenance_running_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  running_total_.fetch_sub(1, std::memory_order_relaxed);
   // Worker-local count: one relaxed add, no stats mutex on the hot path.
+  // Bumped before the job stops counting as running, so a stats() read
+  // after drain_idle() includes it.
   me.executed[static_cast<std::size_t>(job.cls)].fetch_add(
       1, std::memory_order_relaxed);
+  running_total_.fetch_sub(1, std::memory_order_release);
   // A finished maintenance job frees a cap slot; sleeping workers (and
   // drain_idle waiters) must recheck.
   signal_work();
@@ -196,7 +199,6 @@ void JobSystem::execute(Job job, bool reserved_maint, Worker& me) {
 void JobSystem::signal_work() {
   {
     MutexLock lock(idle_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     ++work_signal_;
   }
   idle_cv_.notify_all();
@@ -212,12 +214,10 @@ void JobSystem::worker_loop(std::size_t self) {
     std::uint64_t seen;
     {
       MutexLock lock(idle_mu_);
-      GV_RANK_SCOPE(lockrank::kJobQueue);
       seen = work_signal_;
     }
     if (try_run_one(self)) continue;
     MutexLock lock(idle_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     bool parked = false;
     while (work_signal_ == seen && !stopping_) {
       if (!parked) {
@@ -243,7 +243,6 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
   std::vector<Job> cancelled;
   for (auto& wp : workers_) {
     MutexLock lock(wp->mu);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     for (std::size_t c = 0; c < 2; ++c) {
       JobRing& lane = wp->lanes[c];
       while (!lane.empty()) {
@@ -259,7 +258,6 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
     std::size_t queued_maint = 0;
     for (auto& wp : workers_) {
       MutexLock lock(wp->mu);
-      GV_RANK_SCOPE(lockrank::kJobQueue);
       queued_maint +=
           wp->lanes[static_cast<std::size_t>(JobClass::kMaintenance)].size();
     }
@@ -272,7 +270,6 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
   // Phase 3: cancel maintenance stragglers that missed the deadline.
   for (auto& wp : workers_) {
     MutexLock lock(wp->mu);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     JobRing& lane = wp->lanes[static_cast<std::size_t>(JobClass::kMaintenance)];
     while (!lane.empty()) {
       cancelled.push_back(lane.pop_front());
@@ -291,7 +288,6 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
   // Phase 4: wake everyone and join (in-flight jobs run to completion).
   {
     MutexLock lock(idle_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     stopping_ = true;
     ++work_signal_;
   }
@@ -304,9 +300,8 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
 
 void JobSystem::drain_idle() {
   MutexLock lock(idle_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
-  while (queued_total_.load(std::memory_order_relaxed) != 0 ||
-         running_total_.load(std::memory_order_relaxed) != 0) {
+  while (queued_total_.load(std::memory_order_acquire) != 0 ||
+         running_total_.load(std::memory_order_acquire) != 0) {
     drained_cv_.wait(idle_mu_);
   }
 }
@@ -341,7 +336,6 @@ std::vector<JobWorkerSnapshot> JobSystem::worker_snapshots() const {
     s.parks = w.parks.load(std::memory_order_relaxed);
     s.unparks = w.unparks.load(std::memory_order_relaxed);
     MutexLock lock(w.mu);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     for (std::size_t c = 0; c < kNumJobClasses; ++c) {
       s.depth[c] = w.lanes[c].size();
       s.depth_high_water[c] = w.depth_hw[c];

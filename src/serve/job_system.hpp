@@ -41,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -149,8 +148,7 @@ class JobSystem {
   };
 
   struct Worker {
-    mutable Mutex mu GV_LOCK_RANK(gv::lockrank::kJobQueue){
-        gv::lockrank::kJobQueue};
+    mutable Mutex mu{gv::lockrank::kJobQueue};
     JobRing lanes[kNumJobClasses] GV_GUARDED_BY(mu);
     /// High-water queued depth per lane (updated under mu on push — the
     /// lock is already held there, so this costs a compare).
@@ -186,8 +184,7 @@ class JobSystem {
   std::atomic<std::size_t> running_total_{0};
   std::atomic<bool> accepting_{true};
 
-  mutable Mutex idle_mu_ GV_LOCK_RANK(gv::lockrank::kJobQueue){
-      gv::lockrank::kJobQueue};
+  mutable Mutex idle_mu_{gv::lockrank::kJobQueue};
   CondVar idle_cv_;
   std::uint64_t work_signal_ GV_GUARDED_BY(idle_mu_) = 0;
   bool stopping_ GV_GUARDED_BY(idle_mu_) = false;

@@ -22,8 +22,7 @@ Sha256Digest feature_row_digest(const CsrMatrix& features, std::uint32_t row) {
 std::optional<std::uint32_t> LabelCache::get(std::uint32_t node,
                                              const Sha256Digest& digest) {
   if (capacity_ == 0) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   const auto it = index_.find(node);
   if (it == index_.end()) return std::nullopt;
   if (it->second->digest != digest) {
@@ -39,8 +38,7 @@ std::optional<std::uint32_t> LabelCache::get(std::uint32_t node,
 void LabelCache::put(std::uint32_t node, const Sha256Digest& digest,
                      std::uint32_t label, std::uint64_t generation) {
   if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   if (generation != generation_) return;  // computed before the last clear()
   const auto it = index_.find(node);
   if (it != index_.end()) {
@@ -59,8 +57,7 @@ void LabelCache::put(std::uint32_t node, const Sha256Digest& digest,
 
 std::size_t LabelCache::invalidate_nodes(std::span<const std::uint32_t> nodes) {
   if (capacity_ == 0) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   std::size_t evicted = 0;
   for (const auto node : nodes) {
     const auto it = index_.find(node);
@@ -73,22 +70,19 @@ std::size_t LabelCache::invalidate_nodes(std::span<const std::uint32_t> nodes) {
 }
 
 void LabelCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   lru_.clear();
   index_.clear();
   ++generation_;
 }
 
 std::uint64_t LabelCache::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   return generation_;
 }
 
 std::size_t LabelCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
+  MutexLock lock(mu_);
   return lru_.size();
 }
 

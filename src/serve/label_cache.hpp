@@ -13,12 +13,11 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
 
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "common/arena.hpp"
 #include "sgxsim/sha256.hpp"
 #include "tensor/csr.hpp"
@@ -80,7 +79,7 @@ class LabelCache {
       RecyclingAllocator<std::pair<const std::uint32_t, Lru::iterator>>>;
 
   std::size_t capacity_;
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kQueue);
+  mutable Mutex mu_{gv::lockrank::kQueue};
   Lru lru_;  // front = most recently used
   Index index_;
   std::uint64_t generation_ = 0;  // guarded by mu_

@@ -227,7 +227,6 @@ void VaultRegistry::provision_and_commit(PendingLaunch&& job) {
     std::vector<PendingLaunch> next;
     {
       MutexLock lock(mu_);
-      GV_RANK_SCOPE(lockrank::kRegistry);
       release_reservation_locked(job.tenant);
       next = reserve_from_queue_locked();
     }
@@ -236,7 +235,6 @@ void VaultRegistry::provision_and_commit(PendingLaunch&& job) {
   }
   // COMMIT: publish the live server.
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   provisioning_.erase(job.tenant);
   if (job.sharded) {
     sharded_[job.tenant] = std::move(sharded);
@@ -295,7 +293,6 @@ AdmissionResult VaultRegistry::admit(const std::string& tenant, const Dataset& d
   PendingLaunch job;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kRegistry);
     const bool name_taken =
         servers_.count(tenant) > 0 || sharded_.count(tenant) > 0 ||
         provisioning_.count(tenant) > 0 ||
@@ -345,19 +342,16 @@ AdmissionResult VaultRegistry::admit(const std::string& tenant, const Dataset& d
 
 bool VaultRegistry::has(const std::string& tenant) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   return servers_.count(tenant) > 0 || sharded_.count(tenant) > 0;
 }
 
 bool VaultRegistry::is_sharded(const std::string& tenant) const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   return sharded_.count(tenant) > 0;
 }
 
 std::shared_ptr<VaultServer> VaultRegistry::server(const std::string& tenant) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   const auto it = servers_.find(tenant);
   GV_CHECK(it != servers_.end(), "unknown or not-yet-admitted tenant: " + tenant);
   return it->second;
@@ -366,7 +360,6 @@ std::shared_ptr<VaultServer> VaultRegistry::server(const std::string& tenant) {
 std::shared_ptr<ShardedVaultServer> VaultRegistry::sharded_server(
     const std::string& tenant) {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   const auto it = sharded_.find(tenant);
   GV_CHECK(it != sharded_.end(),
            "unknown or not-sharded tenant: " + tenant);
@@ -382,7 +375,6 @@ bool VaultRegistry::remove(const std::string& tenant) {
   std::vector<PendingLaunch> promoted;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kRegistry);
     const auto it = servers_.find(tenant);
     const auto sit = sharded_.find(tenant);
     if (it != servers_.end() || sit != sharded_.end()) {
@@ -424,7 +416,6 @@ void VaultRegistry::fail_shard(const std::string& tenant, std::uint32_t shard) {
   std::shared_ptr<ShardedVaultServer> server;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kRegistry);
     const auto it = sharded_.find(tenant);
     GV_CHECK(it != sharded_.end(), "unknown or not-sharded tenant: " + tenant);
     server = it->second;
@@ -444,7 +435,6 @@ void VaultRegistry::fail_shard(const std::string& tenant, std::uint32_t shard) {
   std::vector<PendingLaunch> promoted;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kRegistry);
     // The tenant may have been removed (and even re-admitted under the same
     // name), or another fail_shard may have won the race, while the kill
     // ran.  Commit the accounting only against the SAME server we killed —
@@ -468,13 +458,11 @@ void VaultRegistry::fail_shard(const std::string& tenant, std::uint32_t shard) {
 
 std::size_t VaultRegistry::standby_in_use() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   return standby_in_use_;
 }
 
 std::vector<std::string> VaultRegistry::tenants() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   std::vector<std::string> names;
   names.reserve(servers_.size() + sharded_.size());
   for (const auto& [name, server] : servers_) names.push_back(name);
@@ -485,7 +473,6 @@ std::vector<std::string> VaultRegistry::tenants() const {
 
 std::vector<std::string> VaultRegistry::queued() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   std::vector<std::string> names;
   names.reserve(waiting_.size());
   for (const auto& w : waiting_) names.push_back(w.tenant);
@@ -494,7 +481,6 @@ std::vector<std::string> VaultRegistry::queued() const {
 
 std::size_t VaultRegistry::epc_in_use() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   std::size_t sum = 0;
   for (const auto b : platform_in_use_) sum += b;
   return sum;
@@ -506,7 +492,6 @@ std::size_t VaultRegistry::epc_budget() const {
 
 std::vector<std::size_t> VaultRegistry::platform_in_use() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kRegistry);
   return platform_in_use_;
 }
 

@@ -31,14 +31,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "serve/vault_server.hpp"
 #include "shard/sharded_server.hpp"
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -201,10 +199,7 @@ class VaultRegistry {
 
   RegistryConfig cfg_;
   std::size_t platform_budget_bytes_ = 0;
-  /// gv::Mutex (not std::mutex) so the EngineScope contention profiler can
-  /// attribute admission-path contention to rank kRegistry.
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kRegistry){
-      gv::lockrank::kRegistry};
+  mutable Mutex mu_{gv::lockrank::kRegistry};
   std::vector<std::size_t> platform_in_use_;
   std::size_t standby_in_use_ = 0;
   std::map<std::string, std::shared_ptr<VaultServer>> servers_;

@@ -150,7 +150,6 @@ std::size_t ServeFrontEnd::pending() const { return queue_.pending(); }
 ServeFrontEnd::Batch* ServeFrontEnd::acquire_batch() {
   {
     MutexLock lock(pool_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
     if (!free_batches_.empty()) {
       Batch* b = free_batches_.back();
       free_batches_.pop_back();
@@ -162,7 +161,6 @@ ServeFrontEnd::Batch* ServeFrontEnd::acquire_batch() {
   auto owned = std::make_unique<Batch>();
   Batch* b = owned.get();
   MutexLock lock(pool_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
   all_batches_.push_back(std::move(owned));
   return b;
 }
@@ -188,7 +186,6 @@ void ServeFrontEnd::release_batch(Batch* b) {
     b->published_high_water = high_water;
   }
   MutexLock lock(pool_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
   free_batches_.push_back(b);
 }
 

@@ -47,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/job_system.hpp"
@@ -190,8 +189,7 @@ class ServeFrontEnd {
 
   /// Pooled batches cycling between the dispatcher and flush jobs; their
   /// entry/waiter capacities and arena blocks are retained across reuse.
-  mutable Mutex pool_mu_ GV_LOCK_RANK(gv::lockrank::kJobQueue){
-      gv::lockrank::kJobQueue};
+  mutable Mutex pool_mu_{gv::lockrank::kJobQueue};
   std::vector<std::unique_ptr<Batch>> all_batches_ GV_GUARDED_BY(pool_mu_);
   std::vector<Batch*> free_batches_ GV_GUARDED_BY(pool_mu_);
 

@@ -71,52 +71,44 @@ std::string MetricsSnapshot::summary() const {
 }
 
 void ServerMetrics::record_request() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++requests_;
 }
 
 void ServerMetrics::record_cache_hit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++cache_hits_;
 }
 
 void ServerMetrics::record_cache_miss() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++cache_misses_;
 }
 
 void ServerMetrics::record_batch(std::size_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++batches_;
   completed_ += size;
 }
 
 void ServerMetrics::record_coalesced() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++coalesced_;
 }
 
 void ServerMetrics::record_feature_update() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++feature_updates_;
 }
 
 void ServerMetrics::record_graph_update(std::size_t stale) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++graph_updates_;
   stale_label_evictions_ += stale;
 }
 
 void ServerMetrics::record_promotion_ms(double ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   ++promotions_;
   promotion_ms_total_ += ms;
   promotion_ms_max_ = std::max(promotion_ms_max_, ms);
@@ -132,8 +124,7 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   s.p95_latency_ms = lat.percentile(0.95);
   s.p99_latency_ms = lat.percentile(0.99);
   s.max_latency_ms = lat.max;
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   s.requests = requests_;
   s.completed = completed_;
   s.batches = batches_;
@@ -155,8 +146,7 @@ MetricsSnapshot ServerMetrics::snapshot() const {
 }
 
 void ServerMetrics::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(mu_);
   requests_ = completed_ = batches_ = cache_hits_ = cache_misses_ = 0;
   coalesced_ = feature_updates_ = promotions_ = 0;
   graph_updates_ = stale_label_evictions_ = 0;

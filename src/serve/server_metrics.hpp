@@ -10,12 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -108,7 +107,7 @@ class ServerMetrics {
   void reset();
 
  private:
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
+  mutable Mutex mu_{gv::lockrank::kTelemetry};
   Stopwatch since_;
   std::uint64_t requests_ = 0;
   std::uint64_t completed_ = 0;

@@ -10,7 +10,6 @@ void TokenState::resolve(std::uint32_t value) {
   Callback cb;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     GV_CHECK(!resolved_, "token resolved twice");
     resolved_ = true;
     value_ = value;
@@ -27,7 +26,6 @@ void TokenState::fail(std::exception_ptr error) {
   Callback cb;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     GV_CHECK(!resolved_, "token resolved twice");
     resolved_ = true;
     error_ = error;
@@ -41,7 +39,6 @@ void TokenState::fail(std::exception_ptr error) {
 
 std::uint32_t TokenState::get() {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   while (!resolved_) cv_.wait(mu_);
   if (error_) std::rethrow_exception(error_);
   return value_;
@@ -50,7 +47,6 @@ std::uint32_t TokenState::get() {
 bool TokenState::wait_for(std::chrono::microseconds dur) {
   const auto deadline = std::chrono::steady_clock::now() + dur;
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   while (!resolved_) {
     if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
       return resolved_;
@@ -61,13 +57,11 @@ bool TokenState::wait_for(std::chrono::microseconds dur) {
 
 void TokenState::wait() {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   while (!resolved_) cv_.wait(mu_);
 }
 
 bool TokenState::ready() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   return resolved_;
 }
 
@@ -77,7 +71,6 @@ void TokenState::install_callback(Callback cb) {
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     GV_CHECK(!callback_, "token already has a callback");
     if (resolved_) {
       run_now = true;
@@ -118,7 +111,6 @@ TokenState* TokenPoolCore::acquire() {
   TokenState* s = nullptr;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     if (free_head_ == nullptr) {
       // Warm-up: grow by a chunk; steady state never reaches this.
       auto chunk = std::make_unique<TokenState[]>(kChunk);
@@ -151,7 +143,6 @@ void TokenPoolCore::recycle(TokenState* s) {
   // exception_ptr may free).
   {
     MutexLock lock(s->mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     s->resolved_ = false;
     s->value_ = 0;
     s->error_ = nullptr;
@@ -160,7 +151,6 @@ void TokenPoolCore::recycle(TokenState* s) {
   bool last_out = false;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     s->next_free_ = free_head_;
     free_head_ = s;
     ++free_count_;
@@ -172,7 +162,6 @@ void TokenPoolCore::recycle(TokenState* s) {
 
 bool TokenPoolCore::detach() {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   detached_ = true;
   if (observer_ != nullptr) {
     observer_(observer_ctx_, capacity_, free_count_, chunks_.size());
@@ -188,7 +177,6 @@ void TokenPoolCore::set_observer(void* ctx, Observer fn) {
   std::size_t capacity = 0, free_count = 0, chunks = 0;
   {
     MutexLock lock(mu_);
-    GV_RANK_SCOPE(lockrank::kTokenState);
     observer_ctx_ = ctx;
     observer_ = fn;
     capacity = capacity_;
@@ -201,25 +189,21 @@ void TokenPoolCore::set_observer(void* ctx, Observer fn) {
 
 std::size_t TokenPoolCore::free_count() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   return free_count_;
 }
 
 std::size_t TokenPoolCore::capacity() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   return capacity_;
 }
 
 std::size_t TokenPoolCore::in_use() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   return outstanding_;
 }
 
 std::size_t TokenPoolCore::num_chunks() const {
   MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTokenState);
   return chunks_.size();
 }
 

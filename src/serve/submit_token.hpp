@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/thread_safety.hpp"
 
 namespace gv {
@@ -77,8 +76,7 @@ class TokenState {
   friend class TokenPool;
   friend class detail::TokenPoolCore;
 
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTokenState){
-      gv::lockrank::kTokenState};
+  mutable Mutex mu_{gv::lockrank::kTokenState};
   CondVar cv_;
   bool resolved_ GV_GUARDED_BY(mu_) = false;
   std::uint32_t value_ GV_GUARDED_BY(mu_) = 0;
@@ -122,8 +120,7 @@ class TokenPoolCore {
   std::size_t num_chunks() const;
 
  private:
-  mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kTokenState){
-      gv::lockrank::kTokenState};
+  mutable Mutex mu_{gv::lockrank::kTokenState};
   TokenState* free_head_ GV_GUARDED_BY(mu_) = nullptr;
   std::size_t free_count_ GV_GUARDED_BY(mu_) = 0;
   std::vector<std::unique_ptr<TokenState[]>> chunks_ GV_GUARDED_BY(mu_);

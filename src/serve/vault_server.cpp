@@ -40,14 +40,12 @@ VaultServer::~VaultServer() {
 }
 
 std::shared_ptr<VaultServer::Snapshot> VaultServer::current_snapshot() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  GV_RANK_SCOPE(lockrank::kServerSnap);
+  MutexLock lock(snap_mu_);
   return snap_;
 }
 
 const CsrMatrix& VaultServer::features() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  GV_RANK_SCOPE(lockrank::kServerSnap);
+  MutexLock lock(snap_mu_);
   return snap_->features;
 }
 
@@ -94,8 +92,7 @@ void VaultServer::update_features(const CsrMatrix& new_features) {
   auto fresh = std::make_shared<Snapshot>();
   fresh->features = new_features;
   {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    GV_RANK_SCOPE(lockrank::kServerSnap);
+    MutexLock lock(snap_mu_);
     GV_CHECK(new_features.cols() == snap_->features.cols(),
              "feature update must keep the feature dimension");
     snap_ = std::move(fresh);

@@ -37,7 +37,7 @@
 #include <mutex>
 #include <vector>
 
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "core/deployment.hpp"
 #include "serve/serve_frontend.hpp"
 
@@ -111,7 +111,7 @@ class VaultServer : private ServeBackend {
 
   VaultDeployment deployment_;
 
-  mutable std::mutex snap_mu_ GV_LOCK_RANK(gv::lockrank::kServerSnap);
+  mutable Mutex snap_mu_{gv::lockrank::kServerSnap};
   std::shared_ptr<Snapshot> snap_;
 
   /// Last member: its destructor stops the serving threads before anything

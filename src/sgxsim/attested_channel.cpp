@@ -134,8 +134,7 @@ void AttestedChannel::rebind(const Enclave& dead, Enclave& fresh,
   }
   ++handshake_generation_;  // genuinely retires the old session key
   handshake();
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   for (auto& per_kind : queue_to_) {
     for (auto& q : per_kind) q.clear();
   }
@@ -182,8 +181,7 @@ void AttestedChannel::send_block(const Enclave& from, PayloadKind kind,
   // is an MEE-encrypted copy (charged now; the recv pop is in-enclave work).
   const_cast<Enclave&>(from).charge_ocall();
   (to == 0 ? a_ : b_)->copy_in(payload.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   queue_to_[static_cast<std::size_t>(kind)][to].push_back(std::move(blob));
   kind_bytes_[static_cast<std::size_t>(kind)] += logical;
   padded_bytes_ += payload.size();
@@ -195,8 +193,7 @@ std::vector<std::uint8_t> AttestedChannel::pop_block(const Enclave& to,
                                                      const char* what) {
   Sealed blob;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(mu_);
     auto& q = queue_to_[static_cast<std::size_t>(kind)][endpoint_index(to)];
     GV_CHECK(!q.empty(), what);
     blob = std::move(q.front());
@@ -206,8 +203,7 @@ std::vector<std::uint8_t> AttestedChannel::pop_block(const Enclave& to,
 }
 
 bool AttestedChannel::has_block(const Enclave& to, PayloadKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   return !queue_to_[static_cast<std::size_t>(kind)][endpoint_index(to)].empty();
 }
 
@@ -354,16 +350,14 @@ bool AttestedChannel::has_transfer(const Enclave& to) const {
 }
 
 void AttestedChannel::drop_pending() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   for (auto& per_kind : queue_to_) {
     for (auto& q : per_kind) q.clear();
   }
 }
 
 std::uint64_t AttestedChannel::kind_bytes(PayloadKind k) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   // Per-kind audit cases (paired with kind_name(); vault_lint's
   // channel-kind check keys on these).
   switch (k) {
@@ -378,22 +372,19 @@ std::uint64_t AttestedChannel::kind_bytes(PayloadKind k) const {
 }
 
 std::uint64_t AttestedChannel::total_payload_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   std::uint64_t total = 0;
   for (const auto b : kind_bytes_) total += b;
   return total;
 }
 
 std::uint64_t AttestedChannel::padded_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   return padded_bytes_;
 }
 
 std::uint64_t AttestedChannel::blocks_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(mu_);
   return blocks_;
 }
 

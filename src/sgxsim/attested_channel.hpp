@@ -42,10 +42,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "sgxsim/enclave.hpp"
 #include "tensor/matrix.hpp"
 
@@ -233,7 +233,7 @@ class AttestedChannel {
   GV_SECRET AeadKey session_key_{};
   std::atomic<std::uint64_t> nonce_counter_{0};
 
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kChannel);
+  mutable Mutex mu_{gv::lockrank::kChannel};
   // queue_to_[kind][i] holds `kind` blocks addressed to endpoint i
   // (0 = a, 1 = b).
   std::deque<Sealed> queue_to_[kNumPayloadKinds][2];

@@ -6,8 +6,7 @@ void UntrustedSender::push(const Matrix& block) {
   OneWayChannel& ch = *ch_;
   const std::size_t bytes = block.payload_bytes();
   ch.enclave_->copy_in(bytes);
-  std::lock_guard<std::mutex> lock(ch.mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(ch.mu_);
   // Staged blocks occupy enclave memory until the rectifier consumes them.
   ch.queue_.push_back(block);
   ch.pushed_ += 1;
@@ -17,21 +16,18 @@ void UntrustedSender::push(const Matrix& block) {
 }
 
 bool TrustedReceiver::empty() const {
-  std::lock_guard<std::mutex> lock(ch_->mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(ch_->mu_);
   return ch_->queue_.empty();
 }
 
 std::size_t TrustedReceiver::pending() const {
-  std::lock_guard<std::mutex> lock(ch_->mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(ch_->mu_);
   return ch_->queue_.size();
 }
 
 Matrix TrustedReceiver::pop() {
   OneWayChannel& ch = *ch_;
-  std::lock_guard<std::mutex> lock(ch.mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(ch.mu_);
   GV_CHECK(!ch.queue_.empty(), "one-way channel is empty");
   Matrix block = std::move(ch.queue_.front());
   ch.queue_.pop_front();

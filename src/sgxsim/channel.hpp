@@ -11,9 +11,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "common/error.hpp"
 #include "sgxsim/enclave.hpp"
 #include "tensor/matrix.hpp"
@@ -59,13 +58,11 @@ class OneWayChannel {
   TrustedReceiver receiver() { return TrustedReceiver(*this); }
 
   std::uint64_t total_blocks_pushed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(mu_);
     return pushed_;
   }
   std::uint64_t total_bytes_pushed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(mu_);
     return bytes_;
   }
 
@@ -75,7 +72,7 @@ class OneWayChannel {
 
   Enclave* enclave_;
   // Guards queue_, staged_bytes_, and the counters.
-  mutable std::mutex mu_ GV_LOCK_RANK(gv::lockrank::kChannel);
+  mutable Mutex mu_{gv::lockrank::kChannel};
   std::deque<Matrix> queue_;
   std::size_t staged_bytes_ = 0;
   std::uint64_t pushed_ = 0;

@@ -5,8 +5,7 @@
 namespace gv {
 
 void MemoryLedger::alloc(const std::string& name, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(*mu_);
   GV_CHECK(live_.find(name) == live_.end(),
            "enclave allocation already exists: " + name);
   live_[name] = bytes;
@@ -15,8 +14,7 @@ void MemoryLedger::alloc(const std::string& name, std::size_t bytes) {
 }
 
 void MemoryLedger::free(const std::string& name) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(*mu_);
   const auto it = live_.find(name);
   GV_CHECK(it != live_.end(), "freeing unknown enclave allocation: " + name);
   current_ -= it->second;
@@ -24,8 +22,7 @@ void MemoryLedger::free(const std::string& name) {
 }
 
 void MemoryLedger::set(const std::string& name, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  GV_RANK_SCOPE(lockrank::kChannel);
+  MutexLock lock(*mu_);
   const auto it = live_.find(name);
   if (it != live_.end()) {
     current_ -= it->second;
@@ -74,8 +71,7 @@ const Sha256Digest& Enclave::measurement() const {
 
 double Enclave::finish_ecall(double wall_seconds) {
   const std::size_t working_set = ledger_.current_bytes();
-  std::lock_guard<std::mutex> m(*meter_mu_);
-  GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+  MutexLock m(*meter_mu_);
   meter_.enclave_compute_seconds += wall_seconds * model_.enclave_compute_slowdown;
   // EPC pressure: the portion of the working set beyond the usable EPC is
   // assumed to be swapped in and out once per ecall that touches it.

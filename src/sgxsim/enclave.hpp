@@ -22,12 +22,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/trace.hpp"
@@ -50,40 +50,35 @@ struct EnclaveFailure : Error {
 /// ledger updates made inside ecalls.
 class MemoryLedger {
  public:
-  MemoryLedger() : mu_(std::make_unique<std::mutex>()) {}
-
   void alloc(const std::string& name, std::size_t bytes);
   void free(const std::string& name);
   /// Replace (or create) an allocation with a new size.
   void set(const std::string& name, std::size_t bytes);
 
   std::size_t current_bytes() const {
-    std::lock_guard<std::mutex> lock(*mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(*mu_);
     return current_;
   }
   std::size_t peak_bytes() const {
-    std::lock_guard<std::mutex> lock(*mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(*mu_);
     return peak_;
   }
   /// Bytes of one named allocation (0 when absent).
   std::size_t bytes(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(*mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(*mu_);
     const auto it = live_.find(name);
     return it == live_.end() ? 0 : it->second;
   }
   std::size_t live_allocations() const {
-    std::lock_guard<std::mutex> lock(*mu_);
-    GV_RANK_SCOPE(lockrank::kChannel);
+    MutexLock lock(*mu_);
     return live_.size();
   }
 
  private:
   // Owned via pointer so the ledger (and the enclave holding it) stays
   // movable.
-  mutable std::unique_ptr<std::mutex> mu_ GV_LOCK_RANK(gv::lockrank::kChannel);
+  mutable std::unique_ptr<Mutex> mu_ =
+      std::make_unique<Mutex>(gv::lockrank::kChannel);
   std::unordered_map<std::string, std::size_t> live_;
   std::size_t current_ = 0;
   std::size_t peak_ = 0;
@@ -135,11 +130,9 @@ class GV_ENCLAVE Enclave {
     // as the category — interned at construction, since exports routinely
     // outlive the enclave — so every slice is still named "ecall".
     TraceSpan span(trace_category_, "ecall");
-    std::lock_guard<std::mutex> entry(*entry_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveEntry);
+    MutexLock entry(*entry_mu_);
     {
-      std::lock_guard<std::mutex> m(*meter_mu_);
-      GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+      MutexLock m(*meter_mu_);
       ++meter_.ecalls;
       if (injected_faults_ > 0) {
         --injected_faults_;
@@ -165,31 +158,27 @@ class GV_ENCLAVE Enclave {
   /// (shard/sharded_deployment.hpp) turns such a failure into the same
   /// fence + promote path an explicit kill takes.
   void inject_ecall_failure(std::string message, std::size_t count = 1) {
-    std::lock_guard<std::mutex> m(*meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock m(*meter_mu_);
     injected_fault_message_ = std::move(message);
     injected_faults_ = count;
   }
 
   /// Charge an OCALL (enclave -> untrusted transition), e.g. for paging.
   void charge_ocall() {
-    std::lock_guard<std::mutex> m(*meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock m(*meter_mu_);
     ++meter_.ocalls;
   }
 
   /// Account a copy of `bytes` from untrusted memory into the enclave.
   void copy_in(std::size_t bytes) {
-    std::lock_guard<std::mutex> m(*meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock m(*meter_mu_);
     meter_.bytes_in += bytes;
   }
 
   /// Account normal-world compute (e.g. a backbone pass) on the meter from
   /// any untrusted thread.
   void add_untrusted_seconds(double seconds) {
-    std::lock_guard<std::mutex> m(*meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock m(*meter_mu_);
     meter_.untrusted_compute_seconds += seconds;
   }
 
@@ -200,8 +189,7 @@ class GV_ENCLAVE Enclave {
   /// Locked copy of the meter for monitoring threads that poll while other
   /// threads are mid-ecall (the raw meter() references are unsynchronized).
   CostMeter meter_snapshot() const {
-    std::lock_guard<std::mutex> m(*meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock m(*meter_mu_);
     return meter_;
   }
 
@@ -256,10 +244,10 @@ class GV_ENCLAVE Enclave {
   // Owned via pointers so the enclave stays movable. `entry_mu_` serializes
   // ecall entry; `meter_mu_` guards meter mutations that may come from
   // untrusted threads while another thread is inside an ecall.
-  std::unique_ptr<std::mutex> entry_mu_ GV_LOCK_RANK(gv::lockrank::kEnclaveEntry) =
-      std::make_unique<std::mutex>();
-  std::unique_ptr<std::mutex> meter_mu_ GV_LOCK_RANK(gv::lockrank::kEnclaveMeter) =
-      std::make_unique<std::mutex>();
+  std::unique_ptr<Mutex> entry_mu_ =
+      std::make_unique<Mutex>(gv::lockrank::kEnclaveEntry);
+  std::unique_ptr<Mutex> meter_mu_ =
+      std::make_unique<Mutex>(gv::lockrank::kEnclaveMeter);
 };
 
 }  // namespace gv

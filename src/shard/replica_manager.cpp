@@ -75,8 +75,7 @@ void ReplicaManager::replicate_one(std::uint32_t shard) {
   // rethrow the very failure it is trying to recover from.  The standby
   // keeps whatever it replicated last (and its stamps fail safe).
   if (!primary_->shard_alive(shard)) return;
-  std::lock_guard<std::mutex> slot(rep.mu);
-  GV_RANK_SCOPE(lockrank::kReplicaSlot);
+  MutexLock slot(rep.mu);
   // Primary side: package (and labels when available) leave the primary
   // enclave only through the attested channel.  Capture the epoch and
   // topology version BEFORE the send: if a refresh / graph update lands
@@ -115,7 +114,6 @@ void ReplicaManager::replicate_one(std::uint32_t shard) {
 
 void ReplicaManager::replicate_all() {
   MutexLock lock(replicate_mu_);
-  GV_RANK_SCOPE(lockrank::kReplicate);
   for (std::uint32_t s = 0; s < replicas_.size(); ++s) replicate_one(s);
 }
 
@@ -135,7 +133,6 @@ bool ReplicaManager::ready(std::uint32_t shard) const {
 
 void ReplicaManager::sync_labels() {
   MutexLock lock(replicate_mu_);
-  GV_RANK_SCOPE(lockrank::kReplicate);
   sync_labels_locked();
 }
 
@@ -156,8 +153,7 @@ void ReplicaManager::sync_labels_locked() {
     // A store with graph-update-invalidated entries must not be shipped as
     // fresh (the stale bits do not travel); skip until it heals.
     if (primary_->stale_store_entries(s) > 0) continue;
-    std::lock_guard<std::mutex> slot(rep.mu);
-    GV_RANK_SCOPE(lockrank::kReplicaSlot);
+    MutexLock slot(rep.mu);
     const std::uint64_t epoch = primary_->refresh_epoch();
     primary_->send_labels(s, *rep.channel);
     rep.enclave->ecall([&] {
@@ -205,7 +201,6 @@ double ReplicaManager::promote(std::uint32_t shard,
   const auto promo_start = std::chrono::steady_clock::now();
   // Promotion must not race replication traffic into the same enclave.
   MutexLock lock(replicate_mu_);
-  GV_RANK_SCOPE(lockrank::kReplicate);
   try {
     // Warm-adoption fast path: when the standby's replicated label store
     // was synced at the CURRENT refresh epoch, it is bit-identical to what
@@ -219,8 +214,7 @@ double ReplicaManager::promote(std::uint32_t shard,
       // Exclude any lookup that slipped past the PROMOTING fence before it
       // went up: the slot's enclave/labels must not be consumed under a
       // reader.  Released before the (possibly long) re-materialization.
-      std::lock_guard<std::mutex> slot(rep.mu);
-      GV_RANK_SCOPE(lockrank::kReplicaSlot);
+      MutexLock slot(rep.mu);
       // Relaunch from the RE-SEALED package: the blob opens only inside
       // this standby enclave (sealing binds to the standby platform fuse
       // key), so this is exactly the restart-from-local-sealed-storage
@@ -292,16 +286,14 @@ double ReplicaManager::promote(std::uint32_t shard,
                                     static_cast<int>(shard), e.what());
     rep.ready.store(rep.enclave != nullptr);
     {
-      std::lock_guard<std::mutex> state_lock(promote_mu_);
-      GV_RANK_SCOPE(lockrank::kReplicaSlot);
+      MutexLock state_lock(promote_mu_);
       rep.state.store(ReplicaState::kStandby);
     }
     promote_cv_.notify_all();
     throw;
   }
   {
-    std::lock_guard<std::mutex> state_lock(promote_mu_);
-    GV_RANK_SCOPE(lockrank::kReplicaSlot);
+    MutexLock state_lock(promote_mu_);
     rep.state.store(ReplicaState::kPrimary);
   }
   promote_cv_.notify_all();
@@ -337,16 +329,14 @@ bool ReplicaManager::await_promotion(std::uint32_t shard,
                                      std::chrono::milliseconds timeout) const {
   GV_CHECK(shard < replicas_.size(), "shard index out of range");
   const Replica& rep = *replicas_[shard];
-  std::unique_lock<std::mutex> lock(promote_mu_);
-  GV_RANK_SCOPE(lockrank::kReplicaSlot);
-  return promote_cv_.wait_for(lock, timeout, [&] {
+  MutexLock lock(promote_mu_);
+  return promote_cv_.wait_for(promote_mu_, timeout, [&] {
     return rep.state.load() != ReplicaState::kPromoting;
   });
 }
 
 void ReplicaManager::restaff(std::uint32_t shard, const Sha256Digest& platform_key) {
   MutexLock lock(replicate_mu_);
-  GV_RANK_SCOPE(lockrank::kReplicate);
   restaff_locked(shard, platform_key);
 }
 
@@ -362,8 +352,7 @@ void ReplicaManager::restaff_locked(std::uint32_t shard,
            "restaffed");
   GV_CHECK(primary_->shard_alive(shard),
            "restaff requires the shard's primary to be alive");
-  std::lock_guard<std::mutex> slot(rep.mu);
-  GV_RANK_SCOPE(lockrank::kReplicaSlot);
+  MutexLock slot(rep.mu);
   rep.platform_key = platform_key;
   rep.enclave = primary_->make_peer_enclave(shard, platform_key);
   rep.channel = std::make_unique<AttestedChannel>(
@@ -376,8 +365,7 @@ void ReplicaManager::restaff_locked(std::uint32_t shard,
   rep.synced_topology.store(0);
   rep.ready.store(false);
   {
-    std::lock_guard<std::mutex> state_lock(promote_mu_);
-    GV_RANK_SCOPE(lockrank::kReplicaSlot);
+    MutexLock state_lock(promote_mu_);
     rep.state.store(ReplicaState::kStandby);
   }
 }
@@ -389,8 +377,7 @@ std::vector<std::uint32_t> ReplicaManager::lookup(std::uint32_t shard,
   Replica& rep = *replicas_[shard];
   // Slot lock: a promotion that won the race must not consume the enclave
   // or label store from under this reader.
-  std::lock_guard<std::mutex> slot(rep.mu);
-  GV_RANK_SCOPE(lockrank::kReplicaSlot);
+  MutexLock slot(rep.mu);
   GV_CHECK(rep.state.load() == ReplicaState::kStandby,
            std::string("replica is ") + replica_state_name(rep.state.load()) +
                "; lookups are served by the shard enclave");

@@ -40,11 +40,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -154,7 +152,7 @@ class ReplicaManager {
     /// Guards the slot's non-atomic state (enclave, channel, payload,
     /// labels, sealed) against a lookup racing the promotion that consumes
     /// them; never held across rematerialize.
-    std::mutex mu GV_LOCK_RANK(gv::lockrank::kReplicaSlot);
+    Mutex mu{gv::lockrank::kReplicaSlot};
     std::unique_ptr<Enclave> enclave;
     std::unique_ptr<AttestedChannel> channel;  // primary <-> standby
     std::atomic<bool> ready{false};
@@ -189,9 +187,9 @@ class ReplicaManager {
   std::atomic<std::uint64_t> restaffs_{0};
   std::future<void> pending_;
   // Serializes replicate_all / sync_labels / promote.
-  Mutex replicate_mu_ GV_LOCK_RANK(gv::lockrank::kReplicate);
-  mutable std::mutex promote_mu_ GV_LOCK_RANK(gv::lockrank::kReplicaSlot);
-  mutable std::condition_variable promote_cv_;
+  Mutex replicate_mu_{gv::lockrank::kReplicate};
+  mutable Mutex promote_mu_{gv::lockrank::kReplicaSlot};
+  mutable CondVar promote_cv_;
 };
 
 }  // namespace gv

@@ -203,8 +203,7 @@ std::vector<std::uint32_t> ShardRouter::route_once(
   }
   route_span.modeled_seconds(slowest);
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
+    MutexLock lock(stats_mu_);
     modeled_seconds_ += slowest;
     for (const auto s : touched) ++per_shard_batches_[s];
   }
@@ -212,14 +211,12 @@ std::vector<std::uint32_t> ShardRouter::route_once(
 }
 
 double ShardRouter::modeled_seconds() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(stats_mu_);
   return modeled_seconds_;
 }
 
 std::vector<std::uint64_t> ShardRouter::per_shard_batches() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
+  MutexLock lock(stats_mu_);
   return per_shard_batches_;
 }
 

@@ -26,13 +26,12 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "shard/replica_manager.hpp"
 #include "shard/sharded_deployment.hpp"
-#include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
@@ -86,7 +85,7 @@ class ShardRouter {
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> fenced_{0};
   std::atomic<std::uint64_t> cold_batches_{0};
-  mutable std::mutex stats_mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
+  mutable Mutex stats_mu_{gv::lockrank::kTelemetry};
   double modeled_seconds_ = 0.0;
   std::vector<std::uint64_t> per_shard_batches_;
 };

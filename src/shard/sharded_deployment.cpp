@@ -203,8 +203,7 @@ void ShardedVaultDeployment::adopt_shard(std::uint32_t shard,
   GV_CHECK(enclave != nullptr && enclave->initialized(),
            "adoption requires a live, initialized enclave");
   GV_CHECK(payload.shard_index == shard, "payload belongs to a different shard");
-  std::lock_guard<std::mutex> lock(*infer_mu_);  // exclude a concurrent refresh
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);  // exclude a concurrent refresh
   Shard& sh = *shards_[shard];
   GV_CHECK(!sh.alive.load(), "only a dead shard can adopt a promoted replica");
   // A package replicated before a graph update or migration describes a
@@ -239,8 +238,7 @@ void ShardedVaultDeployment::adopt_shard(std::uint32_t shard,
   // still reading the enclave pointer or the stores being swapped below —
   // a hard handoff, not a timing assumption.  The dead enclave object is
   // still retired (never destroyed) out of an abundance of caution.
-  std::unique_lock<std::shared_mutex> access(sh.access_mu);
-  GV_RANK_SCOPE(lockrank::kShardAccess);
+  MutexLock access(sh.access_mu);
   retired_enclaves_.push_back(std::move(sh.enclave));
   sh.enclave = std::move(enclave);
   sh.stream = std::make_unique<OneWayChannel>(*sh.enclave);
@@ -305,8 +303,7 @@ void ShardedVaultDeployment::notify_pending_fault() {
   if (shard == 0xffffffffu) return;
   std::function<void(std::uint32_t)> handler;
   {
-    std::lock_guard<std::mutex> lock(*handler_mu_);
-    GV_RANK_SCOPE(lockrank::kMoveFence);
+    MutexLock lock(handler_mu_);
     handler = failure_handler_;
   }
   if (handler) handler(shard);
@@ -322,8 +319,7 @@ void ShardedVaultDeployment::on_enclave_failure(std::uint32_t shard) {
   shard_faults_.fetch_add(1);
   std::function<void(std::uint32_t)> handler;
   {
-    std::lock_guard<std::mutex> lock(*handler_mu_);
-    GV_RANK_SCOPE(lockrank::kMoveFence);
+    MutexLock lock(handler_mu_);
     handler = failure_handler_;
   }
   if (handler) handler(shard);
@@ -331,29 +327,25 @@ void ShardedVaultDeployment::on_enclave_failure(std::uint32_t shard) {
 
 void ShardedVaultDeployment::set_shard_failure_handler(
     std::function<void(std::uint32_t)> handler) {
-  std::lock_guard<std::mutex> lock(*handler_mu_);
-  GV_RANK_SCOPE(lockrank::kMoveFence);
+  MutexLock lock(handler_mu_);
   failure_handler_ = std::move(handler);
 }
 
 std::size_t ShardedVaultDeployment::num_nodes() const {
-  std::lock_guard<std::mutex> lock(*owner_mu_);
-  GV_RANK_SCOPE(lockrank::kMoveFence);
+  MutexLock lock(owner_mu_);
   return owner_map_->size();
 }
 
 std::shared_ptr<const std::vector<std::uint32_t>>
 ShardedVaultDeployment::owner_snapshot() const {
-  std::lock_guard<std::mutex> lock(*owner_mu_);
-  GV_RANK_SCOPE(lockrank::kMoveFence);
+  MutexLock lock(owner_mu_);
   return owner_map_;
 }
 
 void ShardedVaultDeployment::publish_owner_map() {
   auto fresh = std::make_shared<const std::vector<std::uint32_t>>(plan_.owner);
   {
-    std::lock_guard<std::mutex> lock(*owner_mu_);
-    GV_RANK_SCOPE(lockrank::kMoveFence);
+    MutexLock lock(owner_mu_);
     owner_map_ = std::move(fresh);
   }
   ownership_epoch_.fetch_add(1);
@@ -363,9 +355,8 @@ bool ShardedVaultDeployment::await_moves(
     std::span<const std::uint32_t> nodes,
     std::chrono::milliseconds timeout) const {
   if (moving_count_.load() == 0) return true;  // fast path: nothing in flight
-  std::unique_lock<std::mutex> lock(*move_mu_);
-  GV_RANK_SCOPE(lockrank::kMoveFence);
-  return move_cv_->wait_for(lock, timeout, [&] {
+  MutexLock lock(move_mu_);
+  return move_cv_.wait_for(move_mu_, timeout, [&] {
     if (update_fence_) return false;
     for (const auto v : nodes) {
       if (std::binary_search(moving_.begin(), moving_.end(), v)) return false;
@@ -384,8 +375,7 @@ std::vector<char> ShardedVaultDeployment::stale_mask(
   GV_CHECK(shard < plan_.num_shards, "shard index out of range");
   Shard& sh = *shards_[shard];
   try {
-    std::shared_lock<std::shared_mutex> access(sh.access_mu);
-    GV_RANK_SCOPE(lockrank::kShardAccess);
+    ReaderLock access(sh.access_mu);
     GV_CHECK(sh.alive, "shard enclave is down");
     return sh.enclave->ecall([&] {
       std::vector<char> mask(nodes.size(), 0);
@@ -457,8 +447,7 @@ void ShardedVaultDeployment::stream_full_matrix(Shard& sh, const Matrix& full,
 }
 
 void ShardedVaultDeployment::refresh(const CsrMatrix& features) {
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   for (const auto& sh : shards_) {
     GV_CHECK(sh->alive, "refresh requires every shard enclave alive");
   }
@@ -506,8 +495,7 @@ std::vector<std::uint32_t> ShardedVaultDeployment::lookup(
   try {
   // Shared with other lookups, exclusive against adopt_shard's swap of the
   // enclave + stores this function reads.
-  std::shared_lock<std::shared_mutex> access(sh.access_mu);
-  GV_RANK_SCOPE(lockrank::kShardAccess);
+  ReaderLock access(sh.access_mu);
   GV_CHECK(sh.alive, "shard enclave is down");
   GV_CHECK(refreshed_, "lookup before the first refresh");
   const double before = meter_seconds(sh);
@@ -603,8 +591,7 @@ bool ShardedVaultDeployment::store_materialized(std::uint32_t shard) const {
 void ShardedVaultDeployment::install_labels(std::uint32_t shard,
                                             std::vector<std::uint32_t> labels) {
   GV_CHECK(shard < plan_.num_shards, "shard index out of range");
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   Shard& sh = *shards_[shard];
   GV_CHECK(sh.alive.load(), "cannot install labels into a dead shard");
   sh.enclave->ecall([&] {
@@ -618,8 +605,7 @@ void ShardedVaultDeployment::install_labels(std::uint32_t shard,
 }
 
 void ShardedVaultDeployment::drop_backbone_cache() {
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   bb_cache_.clear();
   have_bb_cache_ = false;
 }
@@ -640,8 +626,7 @@ std::vector<std::uint32_t> ShardedVaultDeployment::infer_labels_subset_cold(
   // promotion whose adopt_shard needs it).
   std::vector<std::uint32_t> labels;
   try {
-    std::lock_guard<std::mutex> lock(*infer_mu_);
-    GV_RANK_SCOPE(lockrank::kDeployment);
+    MutexLock lock(infer_mu_);
     ColdSubsetStats local;
     labels = frontier_forward("cold_forward", features, fingerprint, nodes,
                               stats != nullptr ? stats : &local, RetainSet{});
@@ -666,8 +651,7 @@ void ShardedVaultDeployment::rebuild_boundary_retained(std::uint32_t shard,
 void ShardedVaultDeployment::retain_shard(std::uint32_t shard,
                                           const CsrMatrix& features, bool labels) {
   GV_CHECK(shard < plan_.num_shards, "shard index out of range");
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   Shard& sh = *shards_[shard];
   GV_CHECK(sh.alive.load(), "cannot re-materialize a dead shard");
   GV_CHECK(refreshed_.load(),
@@ -1278,8 +1262,7 @@ void ShardedVaultDeployment::send_payload(std::uint32_t shard, AttestedChannel& 
   // Under the infer lock: a graph update / migration mutates the payload
   // across several ecalls, and a replication racing it must never serialize
   // a half-updated topology.
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   Shard& sh = *shards_[shard];
   GV_CHECK(sh.alive, "shard enclave is down");
   sh.enclave->ecall(
@@ -1288,8 +1271,7 @@ void ShardedVaultDeployment::send_payload(std::uint32_t shard, AttestedChannel& 
 
 void ShardedVaultDeployment::send_labels(std::uint32_t shard, AttestedChannel& ch) {
   GV_CHECK(shard < plan_.num_shards, "shard index out of range");
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   Shard& sh = *shards_[shard];
   GV_CHECK(sh.alive, "shard enclave is down");
   GV_CHECK(refreshed_, "no label store to replicate before the first refresh");

@@ -47,15 +47,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 #include "core/pipeline.hpp"
 #include "shard/graph_drift.hpp"
 #include "shard/shard_planner.hpp"
@@ -360,7 +358,7 @@ class ShardedVaultDeployment {
     /// every container a lookup reads.  A straggler that slipped past the
     /// router's promotion fence therefore drains BEFORE the swap — a hard
     /// guarantee where the pre-GraphDrift code had a timing assumption.
-    mutable std::shared_mutex access_mu GV_LOCK_RANK(gv::lockrank::kShardAccess);
+    mutable SharedMutex access_mu{gv::lockrank::kShardAccess};
     std::atomic<bool> alive{true};
     /// Label store materialized (refresh or rematerialize_shard) and not
     /// since invalidated by an adoption.
@@ -523,8 +521,7 @@ class ShardedVaultDeployment {
   std::vector<std::unique_ptr<Enclave>> retired_enclaves_;
   /// channels_[s * K + t] for s < t; null when no halo overlap either way.
   std::vector<std::unique_ptr<AttestedChannel>> channels_;
-  std::unique_ptr<std::mutex> infer_mu_ GV_LOCK_RANK(gv::lockrank::kDeployment) =
-      std::make_unique<std::mutex>();
+  Mutex infer_mu_{gv::lockrank::kDeployment};
   std::atomic<bool> refreshed_{false};
   /// Store epoch: completed refreshes PLUS applied graph updates and
   /// migrations — anything after which a replica's last-synced label store
@@ -535,8 +532,7 @@ class ShardedVaultDeployment {
   /// Copy-on-write owner map (routers snapshot it per batch); swapped
   /// under owner_mu_ by publish_owner_map.
   std::shared_ptr<const std::vector<std::uint32_t>> owner_map_;
-  mutable std::unique_ptr<std::mutex> owner_mu_ GV_LOCK_RANK(gv::lockrank::kMoveFence) =
-      std::make_unique<std::mutex>();
+  mutable Mutex owner_mu_{gv::lockrank::kMoveFence};
   std::atomic<std::uint64_t> ownership_epoch_{0};
   std::atomic<std::uint64_t> topology_version_{0};
   std::atomic<std::uint64_t> shard_faults_{0};
@@ -544,16 +540,13 @@ class ShardedVaultDeployment {
   /// notification outside infer_mu_ (UINT32_MAX = none).
   std::atomic<std::uint32_t> pending_fault_{0xffffffffu};
   /// Per-node migration fences + the global update_graph fence.
-  mutable std::unique_ptr<std::mutex> move_mu_ GV_LOCK_RANK(gv::lockrank::kMoveFence) =
-      std::make_unique<std::mutex>();
-  mutable std::unique_ptr<std::condition_variable> move_cv_ =
-      std::make_unique<std::condition_variable>();
+  mutable Mutex move_mu_{gv::lockrank::kMoveFence};
+  mutable CondVar move_cv_;
   std::vector<std::uint32_t> moving_;  // sorted; guarded by move_mu_
   bool update_fence_ = false;          // guarded by move_mu_
   std::atomic<std::size_t> moving_count_{0};
   std::function<void(std::uint32_t)> failure_handler_;  // guarded by handler_mu_
-  mutable std::unique_ptr<std::mutex> handler_mu_ GV_LOCK_RANK(gv::lockrank::kMoveFence) =
-      std::make_unique<std::mutex>();
+  mutable Mutex handler_mu_{gv::lockrank::kMoveFence};
   // Untrusted-world backbone output cache (the embeddings are public; only
   // the fingerprint comparison decides reuse).  Guarded by infer_mu_.
   std::vector<Matrix> bb_cache_;

@@ -46,8 +46,7 @@ bool sorted_erase(std::vector<std::uint32_t>& ids, std::uint32_t v) {
 GraphUpdateStats ShardedVaultDeployment::update_graph(
     const GraphDelta& delta, const CsrMatrix* features_after,
     const std::function<void()>& before_unfence) {
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   GraphUpdateStats stats;
   if (delta.empty()) return stats;
   TraceSpan update_span("drift", "graph_update");
@@ -65,8 +64,7 @@ GraphUpdateStats ShardedVaultDeployment::update_graph(
   // not yet flagged; routers wait the fence out instead of reading through
   // it (await_moves).
   {
-    std::lock_guard<std::mutex> mlock(*move_mu_);
-    GV_RANK_SCOPE(lockrank::kMoveFence);
+    MutexLock mlock(move_mu_);
     update_fence_ = true;
   }
   moving_count_.fetch_add(1);
@@ -75,12 +73,11 @@ GraphUpdateStats ShardedVaultDeployment::update_graph(
     std::chrono::steady_clock::time_point raised;
     ~FenceGuard() {
       {
-        std::lock_guard<std::mutex> mlock(*d->move_mu_);
-        GV_RANK_SCOPE(lockrank::kMoveFence);
+        MutexLock mlock(d->move_mu_);
         d->update_fence_ = false;
       }
       d->moving_count_.fetch_sub(1);
-      d->move_cv_->notify_all();
+      d->move_cv_.notify_all();
       TraceRecorder::instance().emit("drift", "update_fence", raised,
                                      std::chrono::steady_clock::now());
     }
@@ -507,8 +504,7 @@ GraphUpdateStats ShardedVaultDeployment::update_graph(
 }
 
 double ShardedVaultDeployment::move_node(std::uint32_t node, std::uint32_t to) {
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  GV_RANK_SCOPE(lockrank::kDeployment);
+  MutexLock lock(infer_mu_);
   GV_CHECK(node < plan_.owner.size(), "node out of range");
   GV_CHECK(to < plan_.num_shards, "destination shard out of range");
   const std::uint32_t from = plan_.owner[node];
@@ -530,8 +526,7 @@ double ShardedVaultDeployment::move_node(std::uint32_t node, std::uint32_t to) {
   // flipped and both stores are consistent; every other node serves
   // throughout the move.
   {
-    std::lock_guard<std::mutex> mlock(*move_mu_);
-    GV_RANK_SCOPE(lockrank::kMoveFence);
+    MutexLock mlock(move_mu_);
     GV_CHECK(sorted_insert(moving_, node), "node is already mid-migration");
   }
   moving_count_.fetch_add(1);
@@ -543,12 +538,11 @@ double ShardedVaultDeployment::move_node(std::uint32_t node, std::uint32_t to) {
     if (!fenced) return;
     fence_ms = fence_watch.seconds() * 1e3;
     {
-      std::lock_guard<std::mutex> mlock(*move_mu_);
-      GV_RANK_SCOPE(lockrank::kMoveFence);
+      MutexLock mlock(move_mu_);
       sorted_erase(moving_, node);
     }
     moving_count_.fetch_sub(1);
-    move_cv_->notify_all();
+    move_cv_.notify_all();
     fenced = false;
     TraceRecorder::instance().emit("drift", "migration_fence", fence_raised,
                                    std::chrono::steady_clock::now(), 0.0,

@@ -49,8 +49,7 @@ ShardedVaultServer::ShardedVaultServer(const Dataset& ds, TrainedVault vault,
     std::shared_ptr<const CsrMatrix> snap;
     std::uint64_t fp;
     {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      GV_RANK_SCOPE(lockrank::kServerSnap);
+      MutexLock lock(snap_mu_);
       snap = features_;
       fp = features_fp_;
     }
@@ -140,22 +139,19 @@ ShardedVaultServer::~ShardedVaultServer() {
 void ShardedVaultServer::join_promotion() {
   // Held across the get(): concurrent joiners must all observe the
   // promotion retired, not race valid()/get() on one shared state.
-  std::lock_guard<std::mutex> lock(promotion_mu_);
-  GV_RANK_SCOPE(lockrank::kServerControl);
+  MutexLock lock(promotion_mu_);
   if (promotion_.valid()) promotion_.get();
 }
 
 std::shared_ptr<const CsrMatrix> ShardedVaultServer::features() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  GV_RANK_SCOPE(lockrank::kServerSnap);
+  MutexLock lock(snap_mu_);
   return features_;
 }
 
 Sha256Digest ShardedVaultServer::row_digest(std::uint32_t node) const {
   std::shared_ptr<const CsrMatrix> snap;
   {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    GV_RANK_SCOPE(lockrank::kServerSnap);
+    MutexLock lock(snap_mu_);
     snap = features_;
   }
   return feature_row_digest(*snap, node);
@@ -176,8 +172,7 @@ ServeBackend::BatchResult ShardedVaultServer::execute(
   // of stale labels being filed under the new digest.
   std::shared_ptr<const CsrMatrix> snap;
   if (!digests.empty()) {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    GV_RANK_SCOPE(lockrank::kServerSnap);
+    MutexLock lock(snap_mu_);
     snap = features_;
   }
   const std::uint64_t epoch_before = deployment_.ownership_epoch();
@@ -201,8 +196,7 @@ void ShardedVaultServer::update_features(const CsrMatrix& new_features) {
   // promotion refreshes against the snapshot it pinned, so it must land
   // first — and no NEW kill/promotion may start under our refresh (it
   // would see the shard dead and throw).
-  std::lock_guard<std::mutex> control(promotion_mu_);
-  GV_RANK_SCOPE(lockrank::kServerControl);
+  MutexLock control(promotion_mu_);
   if (promotion_.valid()) promotion_.get();
   auto fresh = std::make_shared<const CsrMatrix>(new_features);
   const std::uint64_t fresh_fp =
@@ -213,8 +207,7 @@ void ShardedVaultServer::update_features(const CsrMatrix& new_features) {
   // refresh).
   deployment_.refresh(*fresh);
   {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    GV_RANK_SCOPE(lockrank::kServerSnap);
+    MutexLock lock(snap_mu_);
     features_ = std::move(fresh);
     features_fp_ = fresh_fp;
   }
@@ -230,8 +223,7 @@ void ShardedVaultServer::update_features(const CsrMatrix& new_features) {
 }
 
 void ShardedVaultServer::kill_shard(std::uint32_t shard) {
-  std::lock_guard<std::mutex> lock(promotion_mu_);
-  GV_RANK_SCOPE(lockrank::kServerControl);
+  MutexLock lock(promotion_mu_);
   // Under the control-plane lock: wait_ready() joins ReplicaManager's
   // replication future, which is not safe to get() from two threads.
   if (replicas_ != nullptr) replicas_->wait_ready();
@@ -318,8 +310,7 @@ void ShardedVaultServer::handle_shard_failure(std::uint32_t shard) {
                                   static_cast<int>(shard),
                                   "serving ecall died; attempting promotion");
   try {
-    std::lock_guard<std::mutex> lock(promotion_mu_);
-    GV_RANK_SCOPE(lockrank::kServerControl);
+    MutexLock lock(promotion_mu_);
     if (replicas_ == nullptr) return;  // nothing to promote: queries fail
     replicas_->wait_ready();
     if (promotion_.valid()) promotion_.get();
@@ -366,8 +357,7 @@ GraphUpdateStats ShardedVaultServer::update_graph(const GraphDelta& delta,
                                                   const CsrMatrix& new_features) {
   // Control-plane exclusion, like update_features: promotions re-handshake
   // enclaves the update needs alive, so they must land first.
-  std::lock_guard<std::mutex> control(promotion_mu_);
-  GV_RANK_SCOPE(lockrank::kServerControl);
+  MutexLock control(promotion_mu_);
   if (promotion_.valid()) promotion_.get();
   GV_CHECK(new_features.rows() ==
                deployment_.num_nodes() + delta.node_adds.size(),
@@ -381,8 +371,7 @@ GraphUpdateStats ShardedVaultServer::update_graph(const GraphDelta& delta,
   const GraphUpdateStats stats =
       deployment_.update_graph(delta, &new_features, [&] {
         {
-          std::lock_guard<std::mutex> lock(snap_mu_);
-          GV_RANK_SCOPE(lockrank::kServerSnap);
+          MutexLock lock(snap_mu_);
           features_ = fresh;
           features_fp_ = fresh_fp;
         }
@@ -398,8 +387,7 @@ GraphUpdateStats ShardedVaultServer::update_graph(const GraphDelta& delta,
   {
     // Fold the update into the drift health readings (DriftTracker also
     // publishes them as gauges to the global registry).
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    GV_RANK_SCOPE(lockrank::kServerState);
+    MutexLock lock(drift_mu_);
     drift_.record(stats);
   }
   // Telemetry push at the state change: a drift update is exactly when EPC
@@ -433,8 +421,7 @@ MetricsSnapshot ShardedVaultServer::stats() const {
   s.cold_backbone_cache_hits =
       cold_backbone_cache_hits_.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    GV_RANK_SCOPE(lockrank::kServerState);
+    MutexLock lock(drift_mu_);
     s.drift_cut_growth = drift_.cut_growth();
     s.drift_load_imbalance = drift_.load_imbalance();
   }

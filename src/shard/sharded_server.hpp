@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/thread_safety.hpp"
 #include "serve/serve_frontend.hpp"
 #include "serve/vault_server.hpp"
 #include "shard/graph_drift.hpp"
@@ -150,7 +150,7 @@ class ShardedVaultServer : private ServeBackend {
   std::unique_ptr<ShardRouter> router_;
   /// GraphDrift health since construction: update_graph folds each applied
   /// update in and stats() surfaces the current cut-growth / imbalance.
-  mutable std::mutex drift_mu_ GV_LOCK_RANK(gv::lockrank::kServerState);
+  mutable Mutex drift_mu_{gv::lockrank::kServerState};
   DriftTracker drift_;
   /// Cold cross-shard path telemetry, aggregated per query.
   std::atomic<std::uint64_t> cold_queries_{0};
@@ -161,7 +161,7 @@ class ShardedVaultServer : private ServeBackend {
   std::atomic<std::uint64_t> cold_halo_embedding_bytes_{0};
   std::atomic<std::uint64_t> cold_backbone_cache_hits_{0};
 
-  mutable std::mutex snap_mu_ GV_LOCK_RANK(gv::lockrank::kServerSnap);
+  mutable Mutex snap_mu_{gv::lockrank::kServerSnap};
   std::shared_ptr<const CsrMatrix> features_;
   /// features_fingerprint(*features_), hashed once per snapshot so cold
   /// batches do not pay an O(nnz) scan per query.  Guarded by snap_mu_.
@@ -171,7 +171,7 @@ class ShardedVaultServer : private ServeBackend {
   /// shutdown against each other and guards promotion_ (std::future is not
   /// thread-safe for concurrent get/assign).  Never taken by the data
   /// plane (job workers, router) or the promotion thread itself.
-  std::mutex promotion_mu_ GV_LOCK_RANK(gv::lockrank::kServerControl);
+  Mutex promotion_mu_{gv::lockrank::kServerControl};
   std::future<void> promotion_;  // in-flight replica promotion
 
   /// Last member: its destructor stops the serving threads before anything

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "common/annotations.hpp"
 #include "obs/metrics.hpp"
 
 namespace gv {
@@ -110,15 +109,6 @@ TEST(LockProf, ContendedWaitLandsInItsRankHistogram) {
   EXPECT_GT(snap.max, 1e-3);
   // Attribution is per rank: the kQueue histogram saw nothing from this.
   EXPECT_EQ(wait_hist("kQueue").count, queue_before);
-}
-
-TEST(LockProf, UnrankedMutexFallsIntoUnrankedSlot) {
-  lockprof::set_enabled(true);
-  const auto before = contended_count("unranked");
-  Mutex mu;  // no rank: the default-constructed form every caller gets
-  contend_once(mu, std::chrono::milliseconds(10));
-  lockprof::set_enabled(false);
-  EXPECT_GE(contended_count("unranked"), before + 1);
 }
 
 TEST(LockProf, DisableStopsRecordingImmediately) {

@@ -1,25 +1,28 @@
 // VaultLint fixture: a lexically nested lock-order inversion against the
-// gv::lockrank table.  NOT compiled — linted by run_fixture_test.py.
-#include "common/annotations.hpp"
-
-#include <mutex>
+// gv::lockrank table, and a guard over a mutex whose rank cannot be
+// resolved.  NOT compiled — linted by run_fixture_test.py.
+#include "common/thread_safety.hpp"
 
 namespace gv {
 
 class BackwardsLocker {
  public:
   void telemetry_then_control() {
-    std::lock_guard<std::mutex> stats(stats_mu_);
-    GV_RANK_SCOPE(lockrank::kTelemetry);
-    // Control-plane rank 20 acquired under telemetry rank 90: both the
-    // guard and its rank scope are inversions (two lock-rank findings).
-    std::lock_guard<std::mutex> ctl(control_mu_);
-    GV_RANK_SCOPE(lockrank::kServerControl);
+    MutexLock stats(stats_mu_);
+    // Control-plane rank 20 acquired under telemetry rank 90: an
+    // inversion (one lock-rank finding).
+    MutexLock ctl(control_mu_);
+  }
+
+  void unranked_guard(Mutex& borrowed) {
+    // `borrowed` has no declaration with a rank in view: the static check
+    // cannot order it (one lock-rank finding).
+    MutexLock lock(borrowed);
   }
 
  private:
-  std::mutex control_mu_ GV_LOCK_RANK(gv::lockrank::kServerControl);
-  std::mutex stats_mu_ GV_LOCK_RANK(gv::lockrank::kTelemetry);
+  Mutex control_mu_{gv::lockrank::kServerControl};
+  Mutex stats_mu_{gv::lockrank::kTelemetry};
 };
 
 }  // namespace gv

@@ -2,8 +2,9 @@
 // guard.  A run over this file must produce zero unsuppressed findings
 // (one justified suppression is exercised on purpose).  NOT compiled.
 #include "common/annotations.hpp"
+#include "common/thread_safety.hpp"
 
-#include <mutex>
+#include <memory>
 
 namespace gv {
 
@@ -46,10 +47,9 @@ class CleanEnclaveState {
   void seal_out(const unsigned char* bytes, unsigned long n) GV_BOUNDARY_OK;
 
   void ordered_locking() {
-    std::lock_guard<std::mutex> outer(entry_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveEntry);
-    std::lock_guard<std::mutex> inner(meter_mu_);
-    GV_RANK_SCOPE(lockrank::kEnclaveMeter);
+    MutexLock outer(entry_mu_);
+    MutexLock inner(*meter_mu_);
+    ReaderLock view(view_mu_);
   }
 
   void report_capacity() {
@@ -66,8 +66,10 @@ class CleanEnclaveState {
   };
 
   GV_SECRET unsigned labels_[4] = {};
-  std::mutex entry_mu_ GV_LOCK_RANK(gv::lockrank::kEnclaveEntry);
-  std::mutex meter_mu_ GV_LOCK_RANK(gv::lockrank::kEnclaveMeter);
+  Mutex entry_mu_{gv::lockrank::kEnclaveEntry};
+  std::unique_ptr<Mutex> meter_mu_ =
+      std::make_unique<Mutex>(gv::lockrank::kEnclaveMeter);
+  mutable SharedMutex view_mu_{gv::lockrank::kChannel};
 };
 
 }  // namespace gv

@@ -3,7 +3,8 @@
 This is VaultLint's only analysis engine: deterministic, zero-dependency,
 and honest about being a lexer-level approximation — every heuristic it
 relies on is a repo-wide convention (member names end in ``_``, guards are
-std lock adapters or gv::MutexLock, annotations sit adjacent to the
+gv::MutexLock / gv::ReaderLock, a mutex's rank is the brace initializer of
+its gv::Mutex / gv::SharedMutex declaration, annotations sit adjacent to the
 declared name).
 """
 
@@ -17,7 +18,9 @@ from . import CHECKS
 from .lexer import ID, NUM, PUNCT, STR, Token, lex, match_brace, match_paren, string_value
 from .model import FileReport, Finding, Suppression
 
-GUARD_NAMES = {"lock_guard", "unique_lock", "shared_lock", "scoped_lock", "MutexLock"}
+GUARD_NAMES = {"lock_guard", "unique_lock", "shared_lock", "scoped_lock", "MutexLock",
+               "ReaderLock"}
+MUTEX_TYPES = {"Mutex", "SharedMutex"}
 LOG_SINKS = {"GV_LOG_INFO", "GV_LOG_WARN", "GV_LOG_ERROR", "GV_LOG_DEBUG"}
 # Method-call sinks: `.name(` / `->name(` hands data to untrusted telemetry
 # or an unattested channel.
@@ -85,10 +88,12 @@ class Analysis:
             ff = FileFacts(path=path, tokens=lex(text))
             self._collect_rank_table(ff)
             self.facts[path] = ff
-        # Second pass: annotations resolve GV_LOCK_RANK constants against the
-        # now-complete rank table, wherever in the file set it was declared.
+        # Second pass: mutex declarations resolve their rank constants
+        # against the now-complete rank table, wherever in the file set it
+        # was declared.
         for ff in self.facts.values():
             self._collect_annotations(ff)
+            self._collect_mutex_ranks(ff)
         for ff in self.facts.values():
             self._all_secret_names |= ff.secret_names
             self._all_secret_types |= ff.secret_types
@@ -119,21 +124,36 @@ class Analysis:
                 name = self._enclosing_function_name(toks, i)
                 if name:
                     ff.boundary_functions.add(name)
-            elif t.value == "GV_LOCK_RANK":
-                prev = _prev(toks, i)
-                if prev is not None and prev.kind == ID:
-                    rank = self._rank_of_args(toks, i)
-                    if rank is not None:
-                        ff.member_ranks[prev.value] = rank
 
-    def _rank_of_args(self, toks: list[Token], macro_idx: int) -> int | None:
-        """Rank value from ``MACRO(...)`` args: last id constant or number."""
-        j = macro_idx + 1
-        if j >= len(toks) or toks[j].value != "(":
-            return None
-        close = match_paren(toks, j)
+    def _collect_mutex_ranks(self, ff: FileFacts) -> None:
+        """``Mutex name{rank}`` and ``name = make_unique<Mutex>(rank)``."""
+        toks = ff.tokens
+        for i, t in enumerate(toks):
+            if t.kind != ID or t.value not in MUTEX_TYPES or i + 2 >= len(toks):
+                continue
+            # Mutex name{rank}
+            if toks[i + 1].kind == ID and toks[i + 2].value == "{":
+                rank = self._rank_in(toks, i + 2, match_brace(toks, i + 2))
+                if rank is not None:
+                    ff.member_ranks[toks[i + 1].value] = rank
+                continue
+            # name = std::make_unique<Mutex>(rank)
+            if i >= 2 and toks[i - 1].value == "<" \
+                    and toks[i - 2].value == "make_unique" \
+                    and toks[i + 1].value == ">" and toks[i + 2].value == "(":
+                rank = self._rank_in(toks, i + 2, match_paren(toks, i + 2))
+                k = i - 3
+                while k > 0 and toks[k].value != "=" and toks[k].value != ";":
+                    k -= 1
+                if rank is not None and k > 0 and toks[k].value == "=" \
+                        and toks[k - 1].kind == ID:
+                    ff.member_ranks[toks[k - 1].value] = rank
+
+    def _rank_in(self, toks: list[Token], open_idx: int,
+                 close: int) -> int | None:
+        """Rank value between brackets: last id constant or number."""
         rank = None
-        for k in range(j + 1, close):
+        for k in range(open_idx + 1, close):
             if toks[k].kind == ID and toks[k].value in self.rank_table:
                 rank = self.rank_table[toks[k].value]
             elif toks[k].kind == NUM and rank is None:
@@ -430,46 +450,46 @@ class Analysis:
                         held.pop()
                 i += 1
                 continue
-            rank = None
-            what = None
-            if t.kind == ID and t.value == "GV_RANK_SCOPE":
-                rank = self._rank_of_args(toks, i)
-                what = "GV_RANK_SCOPE"
-                if rank is None:
-                    i += 1
-                    continue
-                i = match_paren(toks, i + 1) + 1
-            elif t.kind == ID and t.value in GUARD_NAMES:
-                # guard<...> name(expr) / MutexLock name(expr)
-                j = i + 1
+            if t.kind != ID or t.value not in GUARD_NAMES:
+                i += 1
+                continue
+            # A guard variable: guard<...> name(expr) / MutexLock name(expr).
+            # Anything else naming the guard type (its own constructors,
+            # operator=) is not an acquisition.
+            j = i + 1
+            if j < len(toks) and toks[j].value == "<":
                 angle = 0
                 while j < len(toks):
                     v = toks[j].value
                     if v == "<":
                         angle += 1
                     elif v == ">":
-                        angle = max(0, angle - 1)
-                    elif v == "(" and angle == 0:
-                        break
-                    elif v in (";", "{", "}") and angle == 0:
+                        angle -= 1
+                    elif v == ">>":
+                        angle -= 2
+                    elif v in (";", "{", "}"):
                         break
                     j += 1
-                if j >= len(toks) or toks[j].value != "(":
-                    i += 1
-                    continue
-                close = match_paren(toks, j)
-                args = [a for a in toks[j + 1 : close] if a.kind == ID]
-                if not args:
-                    i = close + 1
-                    continue
-                mutex = args[-1].value
-                rank = self._rank_for_mutex(ff, mutex)
-                what = f"{t.value}({mutex})"
-                i = close + 1
-                if rank is None:
-                    continue
-            else:
+                    if angle <= 0:
+                        break
+            if j + 1 >= len(toks) or toks[j].kind != ID \
+                    or toks[j + 1].value != "(":
                 i += 1
+                continue
+            close = match_paren(toks, j + 1)
+            args = [a for a in toks[j + 2 : close] if a.kind == ID]
+            i = close + 1
+            if not args:
+                continue
+            mutex = args[-1].value
+            rank = self._rank_for_mutex(ff, mutex)
+            what = f"{t.value}({mutex})"
+            if rank is None:
+                report.findings.append(Finding(
+                    "lock-rank", ff.path, t.line,
+                    f"{what}: no gv::lockrank rank found for mutex "
+                    f"'{mutex}' — declare it as Mutex {mutex}{{rank}} or "
+                    "make_unique<Mutex>(rank)"))
                 continue
             if held and rank < held[-1][1]:
                 report.findings.append(Finding(

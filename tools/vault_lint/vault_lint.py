@@ -45,7 +45,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                    help="write the findings artifact to this path")
     p.add_argument("--rank-table", default=None,
                    help="header declaring the gv::lockrank constants "
-                        "(default: <repo-root>/src/common/annotations.hpp)")
+                        "(default: <repo-root>/src/common/thread_safety.hpp)")
     p.add_argument("--repo-root", default=None,
                    help="repository root (default: two levels above this "
                         "script)")
@@ -97,7 +97,7 @@ def main(argv: list[str]) -> int:
         return 2
 
     rank_table = args.rank_table or os.path.join(root, "src", "common",
-                                                 "annotations.hpp")
+                                                 "thread_safety.hpp")
     if not os.path.exists(rank_table):
         rank_table = None
 
